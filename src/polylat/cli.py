@@ -9,7 +9,8 @@ Subcommands:
     asympt   fit a width polynomial and compare with the published one
 
 Exit codes: 0 on success (verification discrepancies with published values
-do not fail a run), 1 when a verification check fails, 2 on usage errors.
+do not fail a run), 1 when a verification check fails or a --dump writes
+a different number of objects than the oracle counted, 2 on usage errors.
 All output is deterministic; counts are printed in full decimal.
 """
 from __future__ import annotations
@@ -72,6 +73,8 @@ def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
 
 def cmd_count(args, parser) -> int:
     family = args.family
+    if args.n is not None and args.m is not None:
+        return _usage_error(parser, "give one size, -n or -m, not both")
     size = args.n if args.n is not None else args.m
     if size is None:
         return _usage_error(parser, "a size is required (-n for areas, -m for lateral areas)")
@@ -89,13 +92,17 @@ def cmd_count(args, parser) -> int:
             value = methods[method](args.k, size)
     except ValueError as exc:
         return _usage_error(parser, str(exc))
+    dumped = None
     if args.dump:
         with open(args.dump, "w", encoding="utf-8") as stream:
-            oracle.dump_objects(family, args.k, size, stream)
+            dumped = oracle.dump_objects(family, args.k, size, stream)
     if args.json:
         print(json.dumps({"family": family, "k": args.k, "size": size, "method": method, "value": value}))
     else:
         print(value)
+    if dumped is not None and dumped != value:
+        print(f"error: --dump wrote {dumped} objects but the oracle counted {value}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -236,6 +243,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "offset", None) is not None and args.offset < 0:
         return _usage_error(parser, "--offset must be >= 0")
+    if getattr(args, "workers", 1) < 1:
+        return _usage_error(parser, f"--workers must be >= 1, got {args.workers}")
     return args.fn(args, parser)
 
 

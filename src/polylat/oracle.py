@@ -9,11 +9,17 @@ That constructive representation is unique per object, so enumeration is
 plain depth-first generation over heights/depths and offsets, pruned on
 the remaining size budget, with no canonical-form hashing.
 
+The iter_* generators (and so dump_objects, --dump and the bijection
+suite) build and yield every object literally. The enum_* counts walk the
+same search tree by plain recursion without yielding: they visit every
+offset of every column/stratum but the last, whose overlap-feasible
+offsets they count by arithmetic for cc and plateau. For dcc and dplateau
+every complete tuple is still built and passed to the reachability check.
+
 Directedness is decided by literal reachability search: North/East unit
 steps in 2D from the bottom cell of the leftmost column, and
-East/North/Ahead unit steps in 3D from a cell of the first stratum (every
-first-stratum cell is tried, min corner first; the object is directed if
-any of them reaches all cells).
+East/North/Ahead unit steps in 3D from the minimal corner of the first
+stratum.
 
 Counts can optionally be partitioned over the first column/stratum sizes
 and summed across processes; results are independent of the partitioning.
@@ -124,31 +130,26 @@ def _cc_is_directed(cols: tuple[Column, ...]) -> bool:
 
 
 def _plateau_is_directed(plats: tuple[Stratum, ...]) -> bool:
-    """Reachability of all cells from some cell of the first stratum using
-    only East, North and Ahead unit steps. Every first-stratum cell is
-    tried as a root, minimal corner first."""
+    """Reachability of all cells from the minimal corner (0, y0, z0) of the
+    first stratum using only East, North and Ahead unit steps. No other
+    root can do better: no step decreases y or z, and the corner reaches
+    every cell of the first stratum, hence everything any of them reaches."""
     cells = {
         (x, y, z)
         for x, (y0, h, z0, d) in enumerate(plats)
         for y in range(y0, y0 + h)
         for z in range(z0, z0 + d)
     }
-    total = len(cells)
-    y0, h, z0, d = plats[0]
-    for ry in range(y0, y0 + h):
-        for rz in range(z0, z0 + d):
-            root = (0, ry, rz)
-            seen = {root}
-            frontier = [root]
-            while frontier:
-                x, y, z = frontier.pop()
-                for nxt in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
-                    if nxt in cells and nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            if len(seen) == total:
-                return True
-    return False
+    root = (0, plats[0][0], plats[0][2])
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        x, y, z = frontier.pop()
+        for nxt in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
+            if nxt in cells and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == len(cells)
 
 
 def _iter_columns(k: int, n: int, first_h: int | None = None) -> Iterator[tuple[Column, ...]]:
@@ -232,6 +233,88 @@ def _iter_strata(
     yield from rec(k, m)
 
 
+def _count_columns(k: int, n: int, first_h: int | None = None, accept=None) -> int:
+    """How many tuples _iter_columns(k, n, first_h) yields (only those that
+    pass accept, when given), by the same DFS returning counts instead of
+    yielding. Without accept, the last column's overlap-feasible bottoms
+    are counted, not visited: a column of height h under one (pb, ph) has
+    ph + h - 1 of them."""
+    if k < 1:
+        raise ValueError(f"width must be >= 1, got {k}")
+    if n < k:
+        return 0
+    current: list[Column] = []
+
+    def rec(cols_left: int, area_left: int) -> int:
+        if cols_left == 0:
+            return 1 if accept is None or accept(tuple(current)) else 0
+        pb, ph = current[-1]
+        if cols_left == 1 and accept is None:
+            return ph + area_left - 1
+        h_min = area_left if cols_left == 1 else 1
+        total = 0
+        for h in range(h_min, area_left - (cols_left - 1) + 1):
+            for b in range(pb - h + 1, pb + ph):
+                current.append((b, h))
+                total += rec(cols_left - 1, area_left - h)
+                current.pop()
+        return total
+
+    h_max = n - (k - 1)
+    h_min = n if k == 1 else 1
+    total = 0
+    for h in (first_h,) if first_h is not None else range(h_min, h_max + 1):
+        if h_min <= h <= h_max:
+            current.append((0, h))
+            total += rec(k - 1, n - h)
+            current.pop()
+    return total
+
+
+def _count_strata(k: int, m: int, first_hd: tuple[int, int] | None = None, accept=None) -> int:
+    """How many tuples _iter_strata(k, m, first_hd) yields (only those that
+    pass accept, when given), by the same DFS returning counts instead of
+    yielding. Without accept, the last stratum's overlap-feasible offsets
+    are counted, not visited: a stratum (h, d) under one (py, ph, pz, pd)
+    has (ph + h - 1) * (pd + d - 1) of them."""
+    if k < 1:
+        raise ValueError(f"width must be >= 1, got {k}")
+    if m < 2 * k:
+        return 0
+    current: list[Stratum] = []
+
+    def rec(cols_left: int, area_left: int) -> int:
+        if cols_left == 0:
+            return 1 if accept is None or accept(tuple(current)) else 0
+        py, ph, pz, pd = current[-1]
+        if cols_left == 1 and accept is None:
+            total = 0
+            for h in range(1, area_left):
+                total += (ph + h - 1) * (pd + area_left - h - 1)
+            return total
+        s_min = area_left if cols_left == 1 else 2
+        total = 0
+        for s in range(s_min, area_left - 2 * (cols_left - 1) + 1):
+            for h in range(1, s):
+                d = s - h
+                for y in range(py - h + 1, py + ph):
+                    for z in range(pz - d + 1, pz + pd):
+                        current.append((y, h, z, d))
+                        total += rec(cols_left - 1, area_left - s)
+                        current.pop()
+        return total
+
+    budget = m - 2 * (k - 1)
+    s_min = m if k == 1 else 2
+    total = 0
+    for h, d in (first_hd,) if first_hd is not None else _first_hd_parts(k, m):
+        if h >= 1 and d >= 1 and s_min <= h + d <= budget:
+            current.append((0, h, 0, d))
+            total += rec(k - 1, m - h - d)
+            current.pop()
+    return total
+
+
 def iter_cc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
     """Every normalized column-convex polyomino with k columns and area n."""
     for cols in _iter_columns(k, n):
@@ -260,18 +343,12 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
 
 def _count_cc_part(args) -> int:
     k, n, h1, directed = args
-    it = _iter_columns(k, n, first_h=h1)
-    if directed:
-        return sum(1 for cols in it if _cc_is_directed(cols))
-    return sum(1 for _ in it)
+    return _count_columns(k, n, first_h=h1, accept=_cc_is_directed if directed else None)
 
 
 def _count_plateau_part(args) -> int:
     k, m, h1, d1, directed = args
-    it = _iter_strata(k, m, first_hd=(h1, d1))
-    if directed:
-        return sum(1 for plats in it if _plateau_is_directed(plats))
-    return sum(1 for _ in it)
+    return _count_strata(k, m, first_hd=(h1, d1), accept=_plateau_is_directed if directed else None)
 
 
 def _parallel_sum(fn, parts, workers: int) -> int:
@@ -280,30 +357,23 @@ def _parallel_sum(fn, parts, workers: int) -> int:
 
 
 def enum_cc(k: int, n: int, workers: int = 1) -> int:
-    """Count of column-convex polyominoes with k columns and area n,
-    by exhaustive generation. 0 when n < k."""
-    if k < 1:
-        raise ValueError(f"width must be >= 1, got {k}")
-    if n < k:
-        return 0
-    if workers > 1:
+    """Count of column-convex polyominoes with k columns and area n, by
+    exhaustive search with the last column's bottoms counted by
+    arithmetic. 0 when n < k."""
+    if workers > 1 and n >= k >= 1:
         parts = [(k, n, h1, False) for h1 in range(1, n - (k - 1) + 1)]
         return _parallel_sum(_count_cc_part, parts, workers)
-    return sum(1 for _ in _iter_columns(k, n))
+    return _count_columns(k, n)
 
 
 def enum_dcc(k: int, n: int, workers: int = 1) -> int:
     """Count of directed column-convex polyominoes with k columns and
     area n, by exhaustive generation plus a reachability check. 0 when
     n < k."""
-    if k < 1:
-        raise ValueError(f"width must be >= 1, got {k}")
-    if n < k:
-        return 0
-    if workers > 1:
+    if workers > 1 and n >= k >= 1:
         parts = [(k, n, h1, True) for h1 in range(1, n - (k - 1) + 1)]
         return _parallel_sum(_count_cc_part, parts, workers)
-    return sum(1 for cols in _iter_columns(k, n) if _cc_is_directed(cols))
+    return _count_columns(k, n, accept=_cc_is_directed)
 
 
 def _first_hd_parts(k: int, m: int) -> list[tuple[int, int]]:
@@ -313,28 +383,21 @@ def _first_hd_parts(k: int, m: int) -> list[tuple[int, int]]:
 
 def enum_plateau(k: int, m: int, workers: int = 1) -> int:
     """Count of plateau polycubes with k strata and lateral area m, by
-    exhaustive generation. 0 when m < 2k."""
-    if k < 1:
-        raise ValueError(f"width must be >= 1, got {k}")
-    if m < 2 * k:
-        return 0
-    if workers > 1:
+    exhaustive search with the last stratum's offsets counted by
+    arithmetic. 0 when m < 2k."""
+    if workers > 1 and m >= 2 * k >= 2:
         parts = [(k, m, h, d, False) for h, d in _first_hd_parts(k, m)]
         return _parallel_sum(_count_plateau_part, parts, workers)
-    return sum(1 for _ in _iter_strata(k, m))
+    return _count_strata(k, m)
 
 
 def enum_dplateau(k: int, m: int, workers: int = 1) -> int:
     """Count of directed plateau polycubes with k strata and lateral area m,
     by exhaustive generation plus a reachability check. 0 when m < 2k."""
-    if k < 1:
-        raise ValueError(f"width must be >= 1, got {k}")
-    if m < 2 * k:
-        return 0
-    if workers > 1:
+    if workers > 1 and m >= 2 * k >= 2:
         parts = [(k, m, h, d, True) for h, d in _first_hd_parts(k, m)]
         return _parallel_sum(_count_plateau_part, parts, workers)
-    return sum(1 for plats in _iter_strata(k, m) if _plateau_is_directed(plats))
+    return _count_strata(k, m, accept=_plateau_is_directed)
 
 
 def project(p: PlateauPolycube) -> tuple[ColumnConvexPoly, ColumnConvexPoly]:

@@ -65,6 +65,9 @@ def test_count_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "count", "--family", "cc", "-k", "2", "-n", "3", "--dump", "x")
     assert code == 2
+    code, out, err = run_cli(capsys, "count", "--family", "plateau", "-k", "2", "-n", "6", "-m", "9")
+    assert (code, out) == (2, "")
+    assert "not both" in err
 
 
 def test_count_dump(tmp_path, capsys):
@@ -77,6 +80,20 @@ def test_count_dump(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert len(lines) == 8
     assert all(line.count("(") == 2 for line in lines)
+
+
+def test_count_dump_disagreeing_with_count_fails(tmp_path, capsys, monkeypatch):
+    from polylat import cli
+
+    monkeypatch.setitem(cli._COUNTERS["plateau"], "oracle", lambda k, m, workers=1: 9)
+    path = tmp_path / "objects.txt"
+    code, out, err = run_cli(
+        capsys, "count", "--family", "plateau", "-k", "2", "-m", "5", "--method", "oracle", "--dump", str(path)
+    )
+    assert code == 1
+    assert out == "9\n"
+    assert "wrote 8 objects" in err
+    assert len(path.read_text().splitlines()) == 8
 
 
 def test_table_md(capsys):
@@ -229,3 +246,15 @@ def test_count_workers(capsys):
     )
     assert code == 0
     assert out == "666\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_must_be_positive(capsys, workers):
+    code, out, err = run_cli(
+        capsys, "count", "--family", "plateau", "-k", "3", "-m", "9", "--method", "oracle", "--workers", workers
+    )
+    assert (code, out) == (2, "")
+    assert "--workers must be >= 1" in err
+    code, out, err = run_cli(capsys, "verify", "--suite", "delannoy", "--workers", workers)
+    assert (code, out) == (2, "")
+    assert "--workers must be >= 1" in err

@@ -8,6 +8,13 @@ from polylat.counting import count_cc, count_dcc, r_gf, s_closed
 from polylat.oracle import (
     ColumnConvexPoly,
     PlateauPolycube,
+    _cc_is_directed,
+    _count_columns,
+    _count_strata,
+    _first_hd_parts,
+    _iter_columns,
+    _iter_strata,
+    _plateau_is_directed,
     dump_objects,
     enum_cc,
     enum_dcc,
@@ -104,10 +111,40 @@ def test_enum_agrees_with_formulas_small():
 
 
 def test_iter_counts_match_enum():
-    assert sum(1 for _ in iter_cc(3, 7)) == enum_cc(3, 7)
-    assert sum(1 for _ in iter_dcc(3, 7)) == enum_dcc(3, 7)
-    assert sum(1 for _ in iter_plateau(2, 7)) == enum_plateau(2, 7)
-    assert sum(1 for _ in iter_dplateau(2, 7)) == enum_dplateau(2, 7)
+    # the enum_* counting DFS against the literal generators
+    for k in range(1, 5):
+        for n in range(1, 11):
+            assert sum(1 for _ in iter_cc(k, n)) == enum_cc(k, n)
+            assert sum(1 for _ in iter_dcc(k, n)) == enum_dcc(k, n)
+    for k in range(1, 4):
+        for m in range(2, 11):
+            assert sum(1 for _ in iter_plateau(k, m)) == enum_plateau(k, m)
+            assert sum(1 for _ in iter_dplateau(k, m)) == enum_dplateau(k, m)
+
+
+def test_counting_parts_match_literal_parts():
+    # every first-column / first-stratum part on its own, and their sum
+    for k in range(1, 5):
+        for n in range(k, 10):
+            for accept in (None, _cc_is_directed):
+                parts = [_count_columns(k, n, first_h=h, accept=accept) for h in range(1, n - k + 2)]
+                literal = [
+                    sum(1 for cols in _iter_columns(k, n, first_h=h) if accept is None or accept(cols))
+                    for h in range(1, n - k + 2)
+                ]
+                assert parts == literal
+                assert sum(parts) == _count_columns(k, n, accept=accept)
+    for k in range(1, 4):
+        for m in range(2 * k, 11):
+            for accept in (None, _plateau_is_directed):
+                hds = _first_hd_parts(k, m)
+                parts = [_count_strata(k, m, first_hd=hd, accept=accept) for hd in hds]
+                literal = [
+                    sum(1 for plats in _iter_strata(k, m, first_hd=hd) if accept is None or accept(plats))
+                    for hd in hds
+                ]
+                assert parts == literal
+                assert sum(parts) == _count_strata(k, m, accept=accept)
 
 
 def test_iter_objects_are_distinct_and_sized():
@@ -123,6 +160,7 @@ def test_workers_partitioning_matches_serial():
     assert enum_cc(3, 9, workers=2) == enum_cc(3, 9)
     assert enum_dcc(3, 9, workers=2) == enum_dcc(3, 9)
     assert enum_plateau(3, 8, workers=2) == enum_plateau(3, 8)
+    assert enum_plateau(3, 9, workers=2) == enum_plateau(3, 9) == 666
     assert enum_dplateau(2, 7, workers=2) == enum_dplateau(2, 7)
 
 
@@ -187,6 +225,30 @@ def test_directedness_3d_matches_monotone_offsets():
                 zs = [z for _, _, z, _ in p.plateaus]
                 monotone = ys == sorted(ys) and zs == sorted(zs)
                 assert p.is_directed() == monotone
+
+
+def test_directedness_3d_matches_search_from_every_root():
+    # the minimal-corner search against a reachability tried from every
+    # first-stratum cell, directed when any root reaches all cells
+    def directed_from_some_root(p):
+        cells = p.cells()
+        y0, h, z0, d = p.plateaus[0]
+        for root in ((0, y, z) for y in range(y0, y0 + h) for z in range(z0, z0 + d)):
+            seen, frontier = {root}, [root]
+            while frontier:
+                x, y, z = frontier.pop()
+                for nxt in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
+                    if nxt in cells and nxt not in seen:
+                        seen.add(nxt)
+                        frontier.append(nxt)
+            if seen == cells:
+                return True
+        return False
+
+    for k in range(1, 4):
+        for m in range(2 * k, 11):
+            for p in iter_plateau(k, m):
+                assert _plateau_is_directed(p.plateaus) == directed_from_some_root(p)
 
 
 def test_directedness_transfers_through_projection():
