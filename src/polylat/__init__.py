@@ -26,16 +26,14 @@ from .combinatorics import (
 )
 from .counting import (
     FAMILIES,
+    ROUTES,
     FamilyTable,
     alpha_lemma,
     build_table,
-    corollary_poly,
     count_cc,
     count_dcc,
-    h_special,
     r_conv,
     r_gf,
-    r_special,
     s_closed,
     s_conv,
 )

@@ -20,42 +20,8 @@ import json
 import sys
 
 from . import asymptotics, gfseries, oracle, verify
-from .counting import (
-    FAMILIES,
-    build_table,
-    count_cc,
-    count_dcc,
-    r_conv,
-    r_gf,
-    s_closed,
-    s_conv,
-)
+from .counting import FAMILIES, ROUTES, build_table
 from .gfseries import gf_coeffs
-
-# count: family -> method -> counter(k, size). The first listed method is
-# the family's default (its authoritative route).
-_COUNTERS = {
-    "dcc": {
-        "closed": count_dcc,
-        "gf": lambda k, n: gfseries.gf_coeff(gfseries.gf_dcc_width(k), n),
-        "oracle": oracle.enum_dcc,
-    },
-    "cc": {
-        "gf": count_cc,
-        "oracle": oracle.enum_cc,
-    },
-    "dplateau": {
-        "closed": s_closed,
-        "conv": s_conv,
-        "gf": lambda k, m: gfseries.gf_coeff(gfseries.gf_S_k(k), m),
-        "oracle": oracle.enum_dplateau,
-    },
-    "plateau": {
-        "gf": r_gf,
-        "conv": r_conv,
-        "oracle": oracle.enum_plateau,
-    },
-}
 
 _GF_BUILDERS = {
     "Sk": lambda k: gfseries.gf_S_k(k),
@@ -78,18 +44,18 @@ def cmd_count(args, parser) -> int:
     size = args.n if args.n is not None else args.m
     if size is None:
         return _usage_error(parser, "a size is required (-n for areas, -m for lateral areas)")
-    methods = _COUNTERS[family]
-    method = args.method or next(iter(methods))
-    if method not in methods:
-        valid = ", ".join(methods)
+    routes = ROUTES[family]
+    method = args.method or next(iter(routes))
+    if method not in routes:
+        valid = ", ".join(routes)
         return _usage_error(parser, f"method {method!r} is not available for family {family!r} (valid: {valid})")
     if args.dump and method != "oracle":
         return _usage_error(parser, "--dump requires --method oracle")
     try:
         if method == "oracle":
-            value = methods[method](args.k, size, workers=args.workers)
+            value = routes[method](args.k, size, workers=args.workers)
         else:
-            value = methods[method](args.k, size)
+            value = routes[method](args.k, size)
     except ValueError as exc:
         return _usage_error(parser, str(exc))
     dumped = None
@@ -204,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("-k", type=int, required=True, help="width (number of columns/strata)")
     p_count.add_argument("-n", type=int, help="area (2D families)")
     p_count.add_argument("-m", type=int, help="lateral area (3D families)")
-    p_count.add_argument("--method", choices=("closed", "conv", "gf", "oracle"))
+    p_count.add_argument("--method", choices=sorted({route for routes in ROUTES.values() for route in routes}))
     p_count.add_argument("--workers", type=int, default=1)
     p_count.add_argument("--dump", metavar="PATH", help="with --method oracle: write one object per line")
     p_count.add_argument("--json", action="store_true")

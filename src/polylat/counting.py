@@ -1,4 +1,5 @@
-"""Formula-based counters for the four enumerated families.
+"""Formula-based counters for the four enumerated families, and the one
+registry of every family's counting routes.
 
 Families and their size parameters:
 
@@ -7,9 +8,12 @@ Families and their size parameters:
     dplateau  directed plateau polycubes, by lateral area m
     plateau   plateau polycubes, by lateral area m
 
-Each family has at least two independent routes (closed form, convolution,
-generating function); the brute-force geometric route lives in the oracle
-module. Out-of-support inputs return 0 rather than raising, because the
+ROUTES maps each family to its routes, each a counter(k, size): at least
+two independent formula routes (closed form, convolution, generating
+function), then the brute-force geometric route of the oracle module,
+which also takes workers=. The first route is the family's authoritative
+one, used by build_table and by default on the command line.
+Out-of-support inputs return 0 rather than raising, because the
 convolutions range freely and rely on vanishing terms. Only structurally
 meaningless arguments (width < 1, unknown family) raise.
 
@@ -21,23 +25,13 @@ generating-function route (count_cc) is the authority everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .combinatorics import binomial
-from .gfseries import gf_C, gf_R, gf_coeffs
-from .reference_tables import published_polynomial
-
-FAMILIES = ("dcc", "cc", "dplateau", "plateau")
+from .gfseries import gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width
+from .oracle import enum_cc, enum_dcc, enum_dplateau, enum_plateau
 
 # Families whose size parameter is an area n (2D) vs a lateral area m (3D).
 AREA_FAMILIES = ("dcc", "cc")
-LATERAL_FAMILIES = ("dplateau", "plateau")
-
-
-def _check_family(family: str) -> str:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    return family
 
 
 def _check_width(k: int) -> int:
@@ -134,61 +128,6 @@ def r_gf(k: int, m: int) -> int:
     return _cached_coeff("R", k, gf_R, m)
 
 
-_SPECIAL_MIN_K = (1, 2, 3)
-
-
-def h_special(k: int, offset: int) -> int:
-    """Column-convex special values near minimal area:
-
-        offset 0: h_{k,k}   = 1            (k >= 1)
-        offset 1: h_{k,k+1} = 4k - 4       (k >= 2)
-        offset 2: h_{k,k+2} = 8k^2-19k+16  (k >= 3)
-    """
-    if offset not in (0, 1, 2):
-        raise ValueError(f"offset must be 0, 1 or 2, got {offset}")
-    if k < _SPECIAL_MIN_K[offset]:
-        raise ValueError(f"offset {offset} requires k >= {_SPECIAL_MIN_K[offset]}, got {k}")
-    if offset == 0:
-        return 1
-    if offset == 1:
-        return 4 * k - 4
-    return 8 * k * k - 19 * k + 16
-
-
-def r_special(k: int, offset: int) -> int:
-    """Plateau special values near minimal lateral area:
-
-        offset 0: r_{k,2k}   = 1             (k >= 1)
-        offset 1: r_{k,2k+1} = 8k - 8        (k >= 2)
-        offset 2: r_{k,2k+2} = 32k^2-70k+48  (k >= 3)
-    """
-    if offset not in (0, 1, 2):
-        raise ValueError(f"offset must be 0, 1 or 2, got {offset}")
-    if k < _SPECIAL_MIN_K[offset]:
-        raise ValueError(f"offset {offset} requires k >= {_SPECIAL_MIN_K[offset]}, got {k}")
-    if offset == 0:
-        return 1
-    if offset == 1:
-        return 8 * k - 8
-    return 32 * k * k - 70 * k + 48
-
-
-def corollary_poly(family: str, offset: int, k) -> Fraction:
-    """Exact evaluation of the published offset-3..6 polynomial at k.
-
-    family "cc" gives h_{k,k+offset}, family "plateau" gives r_{k,2k+offset}
-    (the published plateau subscripts k+offset are read as 2k+offset; the
-    reading is confirmed by offset 3 at k=4 evaluating to 2152, the table's
-    entry at width 4, lateral area 11)."""
-    if family not in ("cc", "plateau"):
-        raise ValueError(f"family must be 'cc' or 'plateau', got {family!r}")
-    if offset not in (3, 4, 5, 6):
-        raise ValueError(f"offset must be in 3..6, got {offset}")
-    coeffs = published_polynomial(family, offset)
-    x = Fraction(k)
-    return sum((c * x**d for d, c in enumerate(coeffs)), Fraction(0))
-
-
 @dataclass
 class FamilyTable:
     """Counts of one family indexed by (width k, size): a full rectangle of
@@ -213,23 +152,34 @@ class FamilyTable:
         return [self.value(k, size) for k in range(1, self.k_max + 1)]
 
 
-_AUTHORITATIVE = {
-    "dcc": count_dcc,
-    "cc": count_cc,
-    "dplateau": s_closed,
-    "plateau": r_gf,
+def _dcc_gf(k: int, n: int) -> int:
+    return gf_coeff(gf_dcc_width(k), n)
+
+
+def _dplateau_gf(k: int, m: int) -> int:
+    _check_width(k)
+    return gf_coeff(gf_S_k(k), m)
+
+
+ROUTES = {
+    "dcc": {"closed": count_dcc, "gf": _dcc_gf, "oracle": enum_dcc},
+    "cc": {"gf": count_cc, "oracle": enum_cc},
+    "dplateau": {"closed": s_closed, "conv": s_conv, "gf": _dplateau_gf, "oracle": enum_dplateau},
+    "plateau": {"gf": r_gf, "conv": r_conv, "oracle": enum_plateau},
 }
+FAMILIES = tuple(ROUTES)
 
 
 def build_table(family: str, k_max: int, size_max: int) -> FamilyTable:
-    """Populate a FamilyTable with the authoritative per-family method
-    (dcc: closed form; cc: generating function; dplateau: closed form;
-    plateau: generating function). Deterministic regardless of evaluation
-    order, since every cell is a pure function of (k, size)."""
-    _check_family(family)
+    """Populate a FamilyTable with the family's authoritative route, the
+    first in ROUTES (dcc: closed form; cc: generating function; dplateau:
+    closed form; plateau: generating function). Deterministic regardless of
+    evaluation order, since every cell is a pure function of (k, size)."""
+    if family not in ROUTES:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if k_max < 1 or size_max < 1:
         raise ValueError(f"bounds must be >= 1, got k_max={k_max}, size_max={size_max}")
-    counter = _AUTHORITATIVE[family]
+    counter = next(iter(ROUTES[family].values()))
     table = FamilyTable(family, k_max, size_max)
     for k in range(1, k_max + 1):
         for size in table.sizes():

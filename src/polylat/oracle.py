@@ -26,8 +26,10 @@ and summed across processes; results are independent of the partitioning.
 """
 from __future__ import annotations
 
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 Column = tuple[int, int]
@@ -341,39 +343,8 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
             yield PlateauPolycube(plats)
 
 
-def _count_cc_part(args) -> int:
-    k, n, h1, directed = args
-    return _count_columns(k, n, first_h=h1, accept=_cc_is_directed if directed else None)
-
-
-def _count_plateau_part(args) -> int:
-    k, m, h1, d1, directed = args
-    return _count_strata(k, m, first_hd=(h1, d1), accept=_plateau_is_directed if directed else None)
-
-
-def _parallel_sum(fn, parts, workers: int) -> int:
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, parts))
-
-
-def enum_cc(k: int, n: int, workers: int = 1) -> int:
-    """Count of column-convex polyominoes with k columns and area n, by
-    exhaustive search with the last column's bottoms counted by
-    arithmetic. 0 when n < k."""
-    if workers > 1 and n >= k >= 1:
-        parts = [(k, n, h1, False) for h1 in range(1, n - (k - 1) + 1)]
-        return _parallel_sum(_count_cc_part, parts, workers)
-    return _count_columns(k, n)
-
-
-def enum_dcc(k: int, n: int, workers: int = 1) -> int:
-    """Count of directed column-convex polyominoes with k columns and
-    area n, by exhaustive generation plus a reachability check. 0 when
-    n < k."""
-    if workers > 1 and n >= k >= 1:
-        parts = [(k, n, h1, True) for h1 in range(1, n - (k - 1) + 1)]
-        return _parallel_sum(_count_cc_part, parts, workers)
-    return _count_columns(k, n, accept=_cc_is_directed)
+def _first_h_parts(k: int, n: int) -> range:
+    return range(1, n - k + 2)
 
 
 def _first_hd_parts(k: int, m: int) -> list[tuple[int, int]]:
@@ -381,23 +352,42 @@ def _first_hd_parts(k: int, m: int) -> list[tuple[int, int]]:
     return [(h, d) for h in range(1, budget) for d in range(1, budget - h + 1)]
 
 
+def _enum(count, parts, k: int, size: int, accept, workers: int) -> int:
+    """count(k, size, accept=accept), or with workers > 1 the sum of
+    count(k, size, part, accept=accept) over the first-level parts(k, size),
+    mapped over a pool of that many processes."""
+    chunks = parts(k, size) if workers > 1 and k >= 1 else ()
+    if not chunks:
+        return count(k, size, accept=accept)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(partial(count, k, size, accept=accept), chunks))
+
+
+def enum_cc(k: int, n: int, workers: int = 1) -> int:
+    """Count of column-convex polyominoes with k columns and area n, by
+    exhaustive search with the last column's bottoms counted by
+    arithmetic. 0 when n < k."""
+    return _enum(_count_columns, _first_h_parts, k, n, None, workers)
+
+
+def enum_dcc(k: int, n: int, workers: int = 1) -> int:
+    """Count of directed column-convex polyominoes with k columns and
+    area n, by exhaustive generation plus a reachability check. 0 when
+    n < k."""
+    return _enum(_count_columns, _first_h_parts, k, n, _cc_is_directed, workers)
+
+
 def enum_plateau(k: int, m: int, workers: int = 1) -> int:
     """Count of plateau polycubes with k strata and lateral area m, by
     exhaustive search with the last stratum's offsets counted by
     arithmetic. 0 when m < 2k."""
-    if workers > 1 and m >= 2 * k >= 2:
-        parts = [(k, m, h, d, False) for h, d in _first_hd_parts(k, m)]
-        return _parallel_sum(_count_plateau_part, parts, workers)
-    return _count_strata(k, m)
+    return _enum(_count_strata, _first_hd_parts, k, m, None, workers)
 
 
 def enum_dplateau(k: int, m: int, workers: int = 1) -> int:
     """Count of directed plateau polycubes with k strata and lateral area m,
     by exhaustive generation plus a reachability check. 0 when m < 2k."""
-    if workers > 1 and m >= 2 * k >= 2:
-        parts = [(k, m, h, d, True) for h, d in _first_hd_parts(k, m)]
-        return _parallel_sum(_count_plateau_part, parts, workers)
-    return _count_strata(k, m, accept=_plateau_is_directed)
+    return _enum(_count_strata, _first_hd_parts, k, m, _plateau_is_directed, workers)
 
 
 def project(p: PlateauPolycube) -> tuple[ColumnConvexPoly, ColumnConvexPoly]:
@@ -458,6 +448,8 @@ def lateral_area_voxels(cells) -> int:
 # Plain-text object dump: one object per line. A column-convex polyomino is
 # its "(bottom,height)" pairs, a plateau polycube its "(y0,h,z0,d)" tuples,
 # space-separated in left-to-right order.
+_DUMP_TUPLE = re.compile(r"\((-?[0-9]+(?:,-?[0-9]+)*)\)")
+
 
 def format_cc(p: ColumnConvexPoly) -> str:
     return " ".join(f"({b},{h})" for b, h in p.columns)
@@ -467,43 +459,46 @@ def format_plateau(p: PlateauPolycube) -> str:
     return " ".join(f"({y0},{h},{z0},{d})" for y0, h, z0, d in p.plateaus)
 
 
+def _parse_tuples(line: str, arity: int, build):
+    """build() of the arity-integer tuples on one dump line. A defect, also
+    one build rejects (as an empty line), raises a ValueError naming the line."""
+    try:
+        tuples = []
+        for chunk in line.split():
+            match = _DUMP_TUPLE.fullmatch(chunk)
+            values = match[1].split(",") if match else ()
+            if len(values) != arity:
+                raise ValueError(f"{chunk!r} is not a tuple of {arity} integers")
+            tuples.append(tuple(int(v) for v in values))
+        return build(tuple(tuples))
+    except ValueError as exc:
+        raise ValueError(f"malformed dump line {line!r}: {exc}") from None
+
+
 def parse_cc(line: str) -> ColumnConvexPoly:
-    cols = tuple(
-        tuple(int(v) for v in chunk.strip("()").split(",")) for chunk in line.split()
-    )
-    return ColumnConvexPoly(tuple((b, h) for b, h in cols))
+    return _parse_tuples(line, 2, ColumnConvexPoly)
 
 
 def parse_plateau(line: str) -> PlateauPolycube:
-    plats = tuple(
-        tuple(int(v) for v in chunk.strip("()").split(",")) for chunk in line.split()
-    )
-    return PlateauPolycube(tuple((y, h, z, d) for y, h, z, d in plats))
+    return _parse_tuples(line, 4, PlateauPolycube)
 
 
-_ITERATORS = {
-    "cc": iter_cc,
-    "dcc": iter_dcc,
-    "plateau": iter_plateau,
-    "dplateau": iter_dplateau,
-}
-
-_FORMATTERS = {
-    "cc": format_cc,
-    "dcc": format_cc,
-    "plateau": format_plateau,
-    "dplateau": format_plateau,
+_DUMPERS = {
+    "cc": (iter_cc, format_cc),
+    "dcc": (iter_dcc, format_cc),
+    "plateau": (iter_plateau, format_plateau),
+    "dplateau": (iter_dplateau, format_plateau),
 }
 
 
 def dump_objects(family: str, k: int, size: int, stream) -> int:
     """Write every enumerated object of the family at (k, size) to stream,
     one per line in the dump format above; returns the object count."""
-    if family not in _ITERATORS:
+    if family not in _DUMPERS:
         raise ValueError(f"unknown family {family!r}")
+    iterate, formatter = _DUMPERS[family]
     count = 0
-    formatter = _FORMATTERS[family]
-    for obj in _ITERATORS[family](k, size):
+    for obj in iterate(k, size):
         stream.write(formatter(obj) + "\n")
         count += 1
     return count

@@ -44,8 +44,6 @@ PASS = "pass"
 FAIL = "fail"
 PAPER_DISCREPANCY = "paper-discrepancy"
 
-SUITES = ("delannoy", "vandermonde", "lemma41", "tables", "bijection", "asymptotics", "all")
-
 # Oracle confirmation of regenerated plateau values is attempted for every
 # cell up to this lateral area, skipping cells whose (known) count exceeds
 # the budget below.
@@ -285,23 +283,24 @@ def suite_asymptotics() -> RunReport:
     return report
 
 
+_RUNNERS = {
+    "delannoy": lambda workers: suite_delannoy(),
+    "vandermonde": lambda workers: suite_vandermonde(),
+    "lemma41": lambda workers: suite_lemma41(),
+    "tables": lambda workers: suite_tables(workers=workers),
+    "bijection": lambda workers: suite_bijection(),
+    "asymptotics": lambda workers: suite_asymptotics(),
+}
+SUITES = (*_RUNNERS, "all")
+
+
 def run_suite(suite: str, workers: int = 1) -> RunReport:
     """Run one named suite (or 'all') and return its report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
-    if suite == "delannoy":
-        return suite_delannoy()
-    if suite == "vandermonde":
-        return suite_vandermonde()
-    if suite == "lemma41":
-        return suite_lemma41()
-    if suite == "tables":
-        return suite_tables(workers=workers)
-    if suite == "bijection":
-        return suite_bijection()
-    if suite == "asymptotics":
-        return suite_asymptotics()
+    if suite != "all":
+        return _RUNNERS[suite](workers)
     combined = RunReport("all")
-    for name in SUITES[:-1]:
+    for name in _RUNNERS:
         combined.extend(run_suite(name, workers=workers))
     return combined

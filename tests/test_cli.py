@@ -4,6 +4,7 @@ import json
 import pytest
 
 from polylat.cli import main
+from polylat.counting import AREA_FAMILIES, ROUTES
 from polylat.reference_tables import CC_TABLE
 
 
@@ -68,6 +69,22 @@ def test_count_usage_errors(capsys):
     code, out, err = run_cli(capsys, "count", "--family", "plateau", "-k", "2", "-n", "6", "-m", "9")
     assert (code, out) == (2, "")
     assert "not both" in err
+    for k in ("0", "-2"):
+        code, out, err = run_cli(capsys, "count", "--family", "dplateau", "-k", k, "-m", "5", "--method", "gf")
+        assert (code, out) == (2, "")
+        assert "width must be >= 1" in err
+
+
+@pytest.mark.parametrize("family", ROUTES)
+def test_count_routes_agree(capsys, family):
+    size_flag, size_min = ("-n", 1) if family in AREA_FAMILIES else ("-m", 2)
+    for k in range(1, 4):
+        for size in range(size_min * k, size_min * k + 5):
+            argv = ["count", "--family", family, "-k", str(k), size_flag, str(size)]
+            code, default, _ = run_cli(capsys, *argv)
+            assert code == 0
+            for route in ROUTES[family]:
+                assert run_cli(capsys, *argv, "--method", route) == (0, default, ""), (route, k, size)
 
 
 def test_count_dump(tmp_path, capsys):
@@ -83,9 +100,7 @@ def test_count_dump(tmp_path, capsys):
 
 
 def test_count_dump_disagreeing_with_count_fails(tmp_path, capsys, monkeypatch):
-    from polylat import cli
-
-    monkeypatch.setitem(cli._COUNTERS["plateau"], "oracle", lambda k, m, workers=1: 9)
+    monkeypatch.setitem(ROUTES["plateau"], "oracle", lambda k, m, workers=1: 9)
     path = tmp_path / "objects.txt"
     code, out, err = run_cli(
         capsys, "count", "--family", "plateau", "-k", "2", "-m", "5", "--method", "oracle", "--dump", str(path)

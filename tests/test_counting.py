@@ -1,23 +1,19 @@
 """Formula-based counters: frozen values from the published tables, route
-agreement, supports, and the special-value polynomials."""
-from fractions import Fraction
-
+agreement, supports, and the published near-minimal-size polynomials."""
 import pytest
 
+from polylat.asymptotics import RatPoly
 from polylat.counting import (
     alpha_lemma,
     build_table,
-    corollary_poly,
     count_cc,
     count_dcc,
-    h_special,
     r_conv,
     r_gf,
-    r_special,
     s_closed,
     s_conv,
 )
-from polylat.reference_tables import CC_TABLE, PLATEAU_ROWS, plateau_row_size
+from polylat.reference_tables import CC_TABLE, PLATEAU_ROWS, plateau_row_size, published_polynomial
 
 # the one known digit garble in the published plateau table's first 15 rows
 PLATEAU_PRINT_TYPO = {(4, 13): (57922, 57928)}  # (k, m): (printed, correct)
@@ -119,59 +115,21 @@ def test_supports():
             assert (r_gf(k, m) == 0) == (m < 2 * k)
 
 
-def test_h_special():
-    assert h_special(6, 0) == 1
-    assert h_special(2, 1) == 4
-    assert h_special(5, 2) == 121
+@pytest.mark.parametrize("offset", range(7))
+def test_published_polynomials_match_tables(offset):
+    # the plateau polynomial at offset i gives the count at lateral area 2k+i
+    h_poly = RatPoly(published_polynomial("cc", offset))
+    r_poly = RatPoly(published_polynomial("plateau", offset))
+    for k in range(offset + 1, 31 if offset <= 2 else 21):
+        assert h_poly(k) == count_cc(k, k + offset)
+        assert r_poly(k) == r_gf(k, 2 * k + offset)
+
+
+def test_published_polynomial_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        h_special(1, 1)
+        published_polynomial("dcc", 3)
     with pytest.raises(ValueError):
-        h_special(2, 2)
-    with pytest.raises(ValueError):
-        h_special(3, 3)
-
-
-def test_r_special():
-    assert r_special(4, 0) == 1
-    assert r_special(2, 1) == 8
-    assert r_special(3, 2) == 126
-    with pytest.raises(ValueError):
-        r_special(2, 2)
-
-
-def test_specials_match_tables_up_to_k30():
-    for k in range(1, 31):
-        assert h_special(k, 0) == count_cc(k, k)
-        assert r_special(k, 0) == r_gf(k, 2 * k)
-    for k in range(2, 31):
-        assert h_special(k, 1) == count_cc(k, k + 1)
-        assert r_special(k, 1) == r_gf(k, 2 * k + 1)
-    for k in range(3, 31):
-        assert h_special(k, 2) == count_cc(k, k + 2)
-        assert r_special(k, 2) == r_gf(k, 2 * k + 2)
-
-
-def test_corollary_poly_values():
-    assert corollary_poly("cc", 3, 4) == 260
-    assert corollary_poly("plateau", 3, 4) == 2152  # confirms the 2k+3 reading
-    assert corollary_poly("cc", 4, 5) == 2299  # = table value at width 5, area 9
-    assert corollary_poly("cc", 3, Fraction(1, 2)) == Fraction(32, 3) / 8 - 11 + Fraction(134, 3) - 76
-
-
-def test_corollary_poly_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        corollary_poly("cc", 2, 5)
-    with pytest.raises(ValueError):
-        corollary_poly("plateau", 7, 5)
-    with pytest.raises(ValueError):
-        corollary_poly("dcc", 3, 5)
-
-
-def test_corollary_poly_matches_tables():
-    for offset in range(3, 7):
-        for k in range(offset + 1, 21):
-            assert corollary_poly("cc", offset, k) == count_cc(k, k + offset)
-            assert corollary_poly("plateau", offset, k) == r_gf(k, 2 * k + offset)
+        published_polynomial("plateau", 7)
 
 
 def test_build_table_cc_is_published_table():

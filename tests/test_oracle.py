@@ -312,6 +312,26 @@ def test_format_parse_inverse():
     assert parse_plateau(format_plateau(q)) == q
 
 
+@pytest.mark.parametrize("parse, line", [
+    (parse_cc, "(0,1,3)"),
+    (parse_cc, "0,1"),
+    (parse_cc, "(0,x)"),
+    (parse_cc, "(0,+1)"),
+    (parse_cc, "(0,1_0)"),
+    (parse_cc, "(0,1) 1,1"),
+    (parse_cc, ""),
+    (parse_plateau, "(0,1,0)"),
+    (parse_plateau, "(0,1,0,1) (0,1)"),
+    (parse_plateau, "(0,1,0,1.5)"),
+    (parse_plateau, "0,1,0,1"),
+    (parse_plateau, "   "),
+])
+def test_parse_rejects_malformed_lines(parse, line):
+    with pytest.raises(ValueError) as excinfo:
+        parse(line)
+    assert line in str(excinfo.value)
+
+
 def test_dump_rejects_unknown_family():
     with pytest.raises(ValueError):
         dump_objects("polyhex", 2, 4, io.StringIO())
