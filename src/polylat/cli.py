@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 on success (verification discrepancies with published values
 do not fail a run), 1 when a verification check fails or a --dump writes
-a different number of objects than the oracle counted, 2 on usage errors.
+a different number of objects than the oracle counted, 2 on usage errors,
+including a width, size, term count or table over its limit.
 All output is deterministic; counts are printed in full decimal.
 """
 from __future__ import annotations
@@ -22,6 +23,12 @@ import sys
 from . import asymptotics, gfseries, oracle, verify
 from .counting import FAMILIES, ROUTES, build_table
 from .gfseries import gf_coeffs
+
+# Upper bounds on every argument that sizes an allocation (series
+# coefficients, table cells), far above the tested and benchmarked inputs.
+MAX_WIDTH = 400
+MAX_SIZE = 10_000
+MAX_TABLE_CELLS = 200_000
 
 _GF_BUILDERS = {
     "Sk": lambda k: gfseries.gf_S_k(k),
@@ -35,6 +42,15 @@ def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     print(parser.format_usage(), end="", file=sys.stderr)
     return 2
+
+
+def _over_limit(*checks) -> str | None:
+    """A usage-error message for the first (name, value, limit) whose value
+    is over its limit, or None when every value is within bounds."""
+    for name, value, limit in checks:
+        if value is not None and value > limit:
+            return f"{name} {value} is over the limit of {limit}"
+    return None
 
 
 def cmd_count(args, parser) -> int:
@@ -51,6 +67,11 @@ def cmd_count(args, parser) -> int:
         return _usage_error(parser, f"method {method!r} is not available for family {family!r} (valid: {valid})")
     if args.dump and method != "oracle":
         return _usage_error(parser, "--dump requires --method oracle")
+    if method != "oracle":
+        size_flag = "-n" if args.n is not None else "-m"
+        message = _over_limit(("-k", args.k, MAX_WIDTH), (size_flag, size, MAX_SIZE))
+        if message:
+            return _usage_error(parser, message)
     try:
         if method == "oracle":
             value = routes[method](args.k, size, workers=args.workers)
@@ -77,6 +98,14 @@ def _table_rows(table) -> list[list[int]]:
 
 
 def cmd_table(args, parser) -> int:
+    # bounds below 1 are left to build_table, whose message names them
+    message = _over_limit(
+        ("--k-max", args.k_max, MAX_WIDTH),
+        ("--size-max", args.size_max, MAX_SIZE),
+        ("table cells (--k-max x --size-max)", max(args.k_max, 0) * max(args.size_max, 0), MAX_TABLE_CELLS),
+    )
+    if message:
+        return _usage_error(parser, message)
     try:
         table = build_table(args.family, args.k_max, args.size_max)
     except ValueError as exc:
@@ -110,6 +139,9 @@ def cmd_table(args, parser) -> int:
 def cmd_gf(args, parser) -> int:
     if args.which != "S" and args.k is None:
         return _usage_error(parser, f"-k is required for --which {args.which}")
+    message = _over_limit(("-k", args.k, MAX_WIDTH), ("--terms", args.terms, MAX_SIZE))
+    if message:
+        return _usage_error(parser, message)
     try:
         gf = _GF_BUILDERS[args.which](args.k)
         coeffs = gf_coeffs(gf, args.terms)
@@ -138,6 +170,9 @@ def cmd_asympt(args, parser) -> int:
         return _usage_error(
             parser, f"--k-max {k_max} is too small: a degree-{offset} fit needs samples up to k={needed}"
         )
+    message = _over_limit(("fit width --k-max", k_max, MAX_WIDTH))
+    if message:
+        return _usage_error(parser, message)
     try:
         fitted = asymptotics.fit_family(family, offset, k_min, k_max - k_min + 1)
     except asymptotics.FitError as exc:

@@ -94,8 +94,11 @@ _SERIES_CACHE: dict[tuple[str, int], list[int]] = {}
 
 def _cached_coeff(kind: str, k: int, gf_factory, n: int) -> int:
     """Coefficient [t^n] of a per-width series, with the expanded prefix
-    cached per process. Recomputation on extension is idempotent, so
-    concurrent use is safe."""
+    cached per process. A miss re-expands the series from term 0 to at
+    least twice the cached length, so a width asked for sizes in
+    increasing order expands about log2(n) times; asked for its largest
+    size first (as build_table does), it expands once. Recomputation on
+    extension is idempotent, so concurrent use is safe."""
     if n < 0:
         return 0
     coeffs = _SERIES_CACHE.get((kind, k))
@@ -173,8 +176,10 @@ FAMILIES = tuple(ROUTES)
 def build_table(family: str, k_max: int, size_max: int) -> FamilyTable:
     """Populate a FamilyTable with the family's authoritative route, the
     first in ROUTES (dcc: closed form; cc: generating function; dplateau:
-    closed form; plateau: generating function). Deterministic regardless of
-    evaluation order, since every cell is a pure function of (k, size)."""
+    closed form; plateau: generating function). Each width is filled from
+    its largest size down, so a cached series expands once per width.
+    Deterministic regardless of evaluation order, since every cell is a
+    pure function of (k, size)."""
     if family not in ROUTES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if k_max < 1 or size_max < 1:
@@ -182,6 +187,6 @@ def build_table(family: str, k_max: int, size_max: int) -> FamilyTable:
     counter = next(iter(ROUTES[family].values()))
     table = FamilyTable(family, k_max, size_max)
     for k in range(1, k_max + 1):
-        for size in table.sizes():
+        for size in reversed(table.sizes()):
             table.entries[(k, size)] = counter(k, size)
     return table

@@ -3,11 +3,13 @@
 A polynomial is a tuple of ints indexed by exponent, trimmed of trailing
 zeros (the zero polynomial is the empty tuple). A rational generating
 function num/den keeps its denominator normalized to constant term 1, so
-Taylor coefficients come out of the induced linear recurrence
+its Taylor coefficients are exact integers; no rational arithmetic is ever
+involved. When the denominator is exactly (1-t)^e, as for every per-width
+series below, the coefficients are e rounds of prefix sums over the
+numerator (division by 1-t is a running sum). Any other denominator (only
+the width-summed S) goes through the induced linear recurrence
 
-    c_n = num_n - sum_{i>=1} den_i * c_{n-i}
-
-as exact integers; no rational arithmetic is ever involved.
+    c_n = num_n - sum_{i>=1} den_i * c_{n-i}.
 
 Constructors are provided for every series the toolkit studies:
 
@@ -20,6 +22,8 @@ Constructors are provided for every series the toolkit studies:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import comb
 
 from .combinatorics import antidiagonal
 
@@ -74,8 +78,10 @@ def monomial(e: int, c: int = 1) -> Poly:
 
 
 def one_minus_t_pow(e: int) -> Poly:
-    """(1 - t)^e."""
-    return poly_pow((1, -1), e)
+    """(1 - t)^e, by the binomial theorem: coefficient i is (-1)^i C(e, i)."""
+    if e < 0:
+        raise ValueError(f"exponent must be >= 0, got {e}")
+    return tuple(-comb(e, i) if i % 2 else comb(e, i) for i in range(e + 1))
 
 
 @dataclass(frozen=True)
@@ -101,17 +107,24 @@ ZERO_GF = RationalGF((), (1,))
 
 
 def gf_coeffs(gf: RationalGF, upto: int) -> list[int]:
-    """First upto+1 Taylor coefficients of gf, by the denominator recurrence.
+    """First upto+1 Taylor coefficients of gf, as exact integers.
 
-    Exact integers throughout; requires the normalized denominator to have
-    constant term exactly 1 (not merely nonzero).
+    A denominator equal to (1-t)^e gives e rounds of prefix sums over the
+    numerator (cut or zero-padded to upto+1 terms); any other one gives the
+    denominator recurrence, which requires the normalized denominator to
+    have constant term exactly 1 (not merely nonzero).
     """
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
     num, den = gf.num, gf.den
     if den[0] != 1:
         raise ValueError(f"denominator constant term must be 1, got {den[0]}")
-    coeffs: list[int] = []
+    if den == one_minus_t_pow(len(den) - 1):
+        coeffs = list(num[: upto + 1]) + [0] * (upto + 1 - len(num))
+        for _ in range(len(den) - 1):
+            coeffs = list(accumulate(coeffs))
+        return coeffs
+    coeffs = []
     for n in range(upto + 1):
         c = num[n] if n < len(num) else 0
         for i in range(1, min(n, len(den) - 1) + 1):

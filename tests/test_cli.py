@@ -1,9 +1,10 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
+import hashlib
 import json
 
 import pytest
 
-from polylat.cli import main
+from polylat.cli import MAX_SIZE, MAX_TABLE_CELLS, MAX_WIDTH, main
 from polylat.counting import AREA_FAMILIES, ROUTES
 from polylat.reference_tables import CC_TABLE
 
@@ -273,3 +274,61 @@ def test_workers_must_be_positive(capsys, workers):
     code, out, err = run_cli(capsys, "verify", "--suite", "delannoy", "--workers", workers)
     assert (code, out) == (2, "")
     assert "--workers must be >= 1" in err
+
+
+# SHA-256 of stdout, taken when every series was still expanded by the
+# general denominator recurrence: the prefix-sum expansion must not change
+# a byte.
+TABLE_CSV_DIGESTS = {
+    "dcc": "2271c6593218a50c2547afbbd7c180942f1ecae0ee74a083da4a7802b8110f53",
+    "cc": "263c882604c4b399e81a037bfbd88e0e021a1990bec9ad896875c3f01012fcfa",
+    "dplateau": "d9fce6610c75af6faad57e9f2804c355d0a64ce551e11d2bf4fe974a0e63b131",
+    "plateau": "e613972c81f5c0217cc816a51724f0ecc73a8319184644df4e3b2630c7203a8a",
+}
+GF_DIGESTS = {
+    "Sk": "900d8ee92f3636ba4e5873a13ee98510aa2ec72705f7a2037bef883518f7d41c",
+    "S": "b441ae94ba1c3cd97cfa5f2fa5be906e053b45e7bdbd06e800146378ca2654b2",
+    "Ck": "07ae49d2044df54bda38dfc2c686575ca325bd0731c21b5e095f5733ab76e2f5",
+    "Rk": "c6fb44f0da9950985c406569e1f42345cb927ec5954a94a2e5169cb705524104",
+}
+
+
+@pytest.mark.parametrize("family", TABLE_CSV_DIGESTS)
+def test_table_csv_golden_digest(capsys, family):
+    code, out, _ = run_cli(capsys, "table", "--family", family, "--k-max", "30", "--size-max", "90", "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_DIGESTS[family]
+
+
+@pytest.mark.parametrize("which", GF_DIGESTS)
+def test_gf_golden_digest(capsys, which):
+    code, out, _ = run_cli(capsys, "gf", "--which", which, "-k", "7", "--terms", "60")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GF_DIGESTS[which]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["gf", "--which", "Sk", "-k", "1", "--terms", "100000000000"], f"--terms 100000000000 is over the limit of {MAX_SIZE}"),
+        (["gf", "--which", "Ck", "-k", str(MAX_WIDTH + 1), "--terms", "3"], f"-k {MAX_WIDTH + 1} is over the limit of {MAX_WIDTH}"),
+        (["table", "--family", "cc", "--k-max", str(MAX_WIDTH + 1), "--size-max", "3"], f"--k-max {MAX_WIDTH + 1} is over the limit"),
+        (["table", "--family", "plateau", "--k-max", "3", "--size-max", str(MAX_SIZE + 1)], f"--size-max {MAX_SIZE + 1} is over the limit"),
+        (["table", "--family", "dcc", "--k-max", str(MAX_WIDTH), "--size-max", str(MAX_SIZE)], f"is over the limit of {MAX_TABLE_CELLS}"),
+        (["count", "--family", "cc", "-k", "3", "-n", str(MAX_SIZE + 1)], f"-n {MAX_SIZE + 1} is over the limit of {MAX_SIZE}"),
+        (["count", "--family", "plateau", "-k", "3", "-m", str(MAX_SIZE + 1), "--method", "conv"], f"-m {MAX_SIZE + 1} is over the limit"),
+        (["count", "--family", "dplateau", "-k", str(MAX_WIDTH + 1), "-m", "4", "--method", "gf"], f"-k {MAX_WIDTH + 1} is over the limit"),
+        (["asympt", "--family", "cc", "--offset", "2", "--k-max", str(MAX_WIDTH + 1)], f"--k-max {MAX_WIDTH + 1} is over the limit"),
+        (["asympt", "--family", "plateau", "--offset", str(MAX_WIDTH)], "is over the limit"),
+    ],
+)
+def test_arguments_over_their_limit_exit_2(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert named in err
+
+
+def test_oracle_count_has_no_width_limit(capsys):
+    # the oracle allocates nothing per width or size beyond its search stack
+    code, out, _ = run_cli(capsys, "count", "--family", "cc", "-k", str(MAX_WIDTH + 1), "-n", "5", "--method", "oracle")
+    assert (code, out) == (0, "0\n")

@@ -2,7 +2,9 @@
 agreement, supports, and the published near-minimal-size polynomials."""
 import pytest
 
+from polylat import counting
 from polylat.asymptotics import RatPoly
+from polylat.combinatorics import binomial, delannoy_closed
 from polylat.counting import (
     alpha_lemma,
     build_table,
@@ -173,3 +175,47 @@ def test_build_table_rejects_bad_arguments():
         build_table("nope", 3, 3)
     with pytest.raises(ValueError):
         build_table("cc", 0, 3)
+
+
+def _cc_binomial_sum(k, n):
+    # [t^n] t^k N(t) / (1-t)^(2k-1) with N_i = D(k-1-i, i), term by term
+    return sum(delannoy_closed(k - 1 - i, i) * binomial(n - k - i + 2 * k - 2, 2 * k - 2) for i in range(k))
+
+
+def _counting_expansions(monkeypatch):
+    """Start from an empty series cache and count the series expansions."""
+    monkeypatch.setattr(counting, "_SERIES_CACHE", {})
+    calls = []
+    expand = counting.gf_coeffs
+
+    def counted(gf, upto):
+        calls.append(upto)
+        return expand(gf, upto)
+
+    monkeypatch.setattr(counting, "gf_coeffs", counted)
+    return calls
+
+
+def test_build_table_cc_past_cache_growths(monkeypatch):
+    # 140 is past the cache's growth steps 32 -> 66 -> 134; the table fills
+    # each width from its largest size down and so expands it once
+    calls = _counting_expansions(monkeypatch)
+    table = build_table("cc", 24, 140)
+    assert calls == [140] * 24
+    for k in range(1, 25):
+        assert [table.value(k, n) for n in range(1, 141)] == [_cc_binomial_sum(k, n) for n in range(1, 141)]
+    # cells asked for in increasing size order grow the cache step by step
+    # and reach the same values
+    calls.clear()
+    counting._SERIES_CACHE.clear()
+    for k in (1, 12, 24):
+        assert [count_cc(k, n) for n in range(1, 141)] == [table.value(k, n) for n in range(1, 141)]
+    assert calls == [32, 66, 134, 270] * 3
+
+
+def test_build_table_plateau_past_cache_growths(monkeypatch):
+    calls = _counting_expansions(monkeypatch)
+    table = build_table("plateau", 12, 140)
+    assert calls == [140] * 12
+    for k in range(1, 13):
+        assert [table.value(k, m) for m in range(2, 141)] == [r_conv(k, m) for m in range(2, 141)]

@@ -3,6 +3,8 @@ cross-checked against naive truncated long division."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polylat.counting import count_dcc, s_closed
 from polylat.gfseries import (
@@ -55,6 +57,18 @@ def test_poly_pow():
         poly_pow((1, 1), -1)
 
 
+def test_one_minus_t_pow_binomial_coefficients():
+    assert one_minus_t_pow(0) == (1,)
+    assert one_minus_t_pow(5) == (1, -5, 10, -10, 5, -1)
+    with pytest.raises(ValueError):
+        one_minus_t_pow(-1)
+
+
+@given(st.integers(min_value=0, max_value=60))
+def test_one_minus_t_pow_equals_repeated_product(e):
+    assert one_minus_t_pow(e) == poly_pow((1, -1), e)
+
+
 def test_rational_gf_normalization():
     gf = RationalGF((0, -1), (-1, 1))
     assert gf.den[0] == 1
@@ -94,6 +108,30 @@ def test_gf_coeffs_matches_long_division():
         divided = _long_division(gf.num, gf.den, 25)
         assert [Fraction(c) for c in exact] == divided
         assert all(isinstance(c, int) for c in exact)
+
+
+@given(
+    num=st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=12),
+    e=st.integers(min_value=0, max_value=40),
+    upto=st.integers(min_value=0, max_value=60),
+)
+def test_gf_coeffs_prefix_sums_match_recurrence(num, e, upto):
+    # num/(1-t)^e takes the prefix-sum path; multiplying numerator and
+    # denominator by 1+t leaves the series unchanged but forces the
+    # denominator recurrence
+    power = RationalGF(tuple(num), one_minus_t_pow(e))
+    forced = RationalGF(poly_mul(num, (1, 1)), poly_mul(one_minus_t_pow(e), (1, 1)))
+    assert forced.den != one_minus_t_pow(len(forced.den) - 1)
+    assert gf_coeffs(power, upto) == gf_coeffs(forced, upto)
+
+
+def test_gf_coeffs_prefix_sums_cut_and_pad_numerator():
+    # a numerator longer than the requested prefix is cut, a shorter one padded
+    gf = RationalGF((1, 2, 3, 4, 5), one_minus_t_pow(1))
+    assert gf_coeffs(gf, 2) == [1, 3, 6]
+    assert gf_coeffs(gf, 6) == [1, 3, 6, 10, 15, 15, 15]
+    assert gf_coeffs(RationalGF((), one_minus_t_pow(3)), 3) == [0, 0, 0, 0]
+    assert gf_coeffs(RationalGF((2, 1), (1,)), 3) == [2, 1, 0, 0]
 
 
 def test_gf_dcc_width():

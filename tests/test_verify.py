@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from polylat import verify
 from polylat.verify import (
     FAIL,
     PAPER_DISCREPANCY,
@@ -98,12 +99,41 @@ def test_asymptotics_suite_all_pass():
             assert f"asympt-{family}-offset{offset}-printed" in ids
 
 
-def test_all_suite_aggregates():
-    combined = run_suite("all")
+@pytest.fixture(scope="module")
+def all_report():
+    return run_suite("all")
+
+
+def test_all_suite_aggregates(all_report):
+    combined = all_report
     parts = [run_suite(s) for s in ("delannoy", "vandermonde", "lemma41", "tables", "bijection", "asymptotics")]
     assert len(combined.checks) == sum(len(p.checks) for p in parts)
     assert combined.summary[PAPER_DISCREPANCY] == sum(p.summary[PAPER_DISCREPANCY] for p in parts)
     assert not combined.failed
+
+
+def test_status_is_pass_exactly_when_strings_agree(all_report):
+    for check in all_report.checks:
+        assert (check.status == PASS) == (check.expected == check.actual), check
+    assert all_report.summary[FAIL] == 0
+    assert all_report.summary[PAPER_DISCREPANCY] == 35
+
+
+def test_oracle_records_state_skipped_widths_in_both_strings(monkeypatch):
+    # no width is skipped under the real budget; a small one skips many
+    monkeypatch.setattr(verify, "ORACLE_COUNT_BUDGET", 1000)
+    oracle_checks = [c for c in suite_tables().checks if c.id.startswith("plateau-oracle-")]
+    skipping = [c for c in oracle_checks if "skipped" in c.expected]
+    assert len(skipping) == 7  # lateral areas 10..16
+    assert all(c.actual == c.expected and c.status == PASS for c in oracle_checks)
+
+
+def test_report_mismatch_status():
+    report = RunReport("demo")
+    report.add("same", "4", 4, PAPER_DISCREPANCY)
+    report.add("differs", 4, 2, PAPER_DISCREPANCY)
+    assert [c.status for c in report.checks] == [PASS, PAPER_DISCREPANCY]
+    assert not report.failed
 
 
 def test_report_schema():
