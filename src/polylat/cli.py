@@ -11,7 +11,7 @@ Subcommands:
 Exit codes: 0 on success (verification discrepancies with published values
 do not fail a run), 1 when a verification check fails or a --dump writes
 a different number of objects than the oracle counted, 2 on usage errors,
-including a width, size, term count or table over its limit.
+including a width, size, term count, table or worker count over its limit.
 All output is deterministic; counts are printed in full decimal.
 """
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .gfseries import gf_coeffs
 MAX_WIDTH = 400
 MAX_SIZE = 10_000
 MAX_TABLE_CELLS = 200_000
+# A process pool may start all its workers at once, one process each.
+MAX_WORKERS = 64
 
 _GF_BUILDERS = {
     "Sk": lambda k: gfseries.gf_S_k(k),
@@ -244,8 +246,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "offset", None) is not None and args.offset < 0:
         return _usage_error(parser, "--offset must be >= 0")
-    if getattr(args, "workers", 1) < 1:
-        return _usage_error(parser, f"--workers must be >= 1, got {args.workers}")
+    workers = getattr(args, "workers", 1)
+    if workers < 1:
+        return _usage_error(parser, f"--workers must be >= 1, got {workers}")
+    message = _over_limit(("--workers", workers, MAX_WORKERS))
+    if message:
+        return _usage_error(parser, message)
     return args.fn(args, parser)
 
 

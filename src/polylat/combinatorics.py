@@ -33,33 +33,16 @@ def delannoy_closed(n: int, m: int) -> int:
     return sum(binomial(m, k) * binomial(n + m - k, m) for k in range(m + 1))
 
 
-# Memo table for the Delannoy recurrence; grows on demand and is retained
-# for the whole process. Writes are idempotent (every writer stores the same
-# value for a key), so concurrent fills converge to the same table.
-_DELANNOY_MEMO: dict[tuple[int, int], int] = {}
-
-
 def delannoy_recursive(n: int, m: int) -> int:
     """Delannoy number D(n, m) via the recurrence
-    D(n,m) = D(n-1,m) + D(n,m-1) + D(n-1,m-1) with D(0,m) = D(n,0) = 1.
+    D(n,m) = D(n-1,m) + D(n,m-1) + D(n-1,m-1) with D(0,m) = D(n,0) = 1,
+    read off the anti-diagonal n + m (see antidiagonal).
 
-    Memoized; computing a fresh (n, m) costs O(n*m) big-integer additions.
+    Each call costs O((n+m)^2) big-integer additions.
     """
     if n < 0 or m < 0:
         raise ValueError(f"Delannoy arguments must be >= 0, got ({n}, {m})")
-    memo = _DELANNOY_MEMO
-    value = memo.get((n, m))
-    if value is not None:
-        return value
-    for i in range(n + 1):
-        for j in range(m + 1):
-            if (i, j) in memo:
-                continue
-            if i == 0 or j == 0:
-                memo[(i, j)] = 1
-            else:
-                memo[(i, j)] = memo[(i - 1, j)] + memo[(i, j - 1)] + memo[(i - 1, j - 1)]
-    return memo[(n, m)]
+    return antidiagonal(n + m)[m]
 
 
 @dataclass(frozen=True)
@@ -90,11 +73,18 @@ def antidiagonal(k: int) -> list[int]:
     """The k-th anti-diagonal of the Delannoy array: [D(k-i, i) for i=0..k].
 
     These are the numerator coefficients of the width-indexed generating
-    functions for column-convex polyominoes.
+    functions for column-convex polyominoes. Built row by row with the
+    Delannoy recurrence in O(k^2) big-integer additions, independent of the
+    binomial sum in delannoy_closed.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return [delannoy_closed(k - i, i) for i in range(k + 1)]
+    # row[t] = D(s-t, t) on anti-diagonal s; the recurrence links its inner
+    # entries to row s-1 (D(s-t-1, t), D(s-t, t-1)) and row s-2 (D(s-t-1, t-1))
+    before, row = [], [1]
+    for s in range(1, k + 1):
+        before, row = row, [1] + [row[t - 1] + row[t] + before[t - 1] for t in range(1, s)] + [1]
+    return row
 
 
 def vandermonde_variant(a: int, m: int) -> tuple[int, int]:

@@ -99,8 +99,6 @@ def _cached_coeff(kind: str, k: int, gf_factory, n: int) -> int:
     increasing order expands about log2(n) times; asked for its largest
     size first (as build_table does), it expands once. Recomputation on
     extension is idempotent, so concurrent use is safe."""
-    if n < 0:
-        return 0
     coeffs = _SERIES_CACHE.get((kind, k))
     if coeffs is None or n >= len(coeffs):
         upto = max(n, 2 * (len(coeffs) if coeffs else 0), 32)
@@ -112,9 +110,9 @@ def _cached_coeff(kind: str, k: int, gf_factory, n: int) -> int:
 def count_cc(k: int, n: int) -> int:
     """Column-convex polyominoes with k columns and area n, from the
     width-indexed generating function (the authoritative route).
-    Zero when n < k."""
+    Zero when n < k, without expanding the series."""
     _check_width(k)
-    return _cached_coeff("C", k - 1, gf_C, n)
+    return _cached_coeff("C", k - 1, gf_C, n) if n >= k else 0
 
 
 def r_conv(k: int, m: int) -> int:
@@ -126,9 +124,10 @@ def r_conv(k: int, m: int) -> int:
 
 def r_gf(k: int, m: int) -> int:
     """Plateau polycubes of width k and lateral area m, as the p^m
-    coefficient of the squared column-convex generating function."""
+    coefficient of the squared column-convex generating function. Zero
+    when m < 2k, without expanding the series."""
     _check_width(k)
-    return _cached_coeff("R", k, gf_R, m)
+    return _cached_coeff("R", k, gf_R, m) if m >= 2 * k else 0
 
 
 @dataclass

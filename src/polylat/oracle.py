@@ -21,8 +21,10 @@ steps in 2D from the bottom cell of the leftmost column, and
 East/North/Ahead unit steps in 3D from the minimal corner of the first
 stratum.
 
-Counts can optionally be partitioned over the first column/stratum sizes
-and summed across processes; results are independent of the partitioning.
+One rule per family (_first_columns, _first_strata) lists the normalized
+first slices an object can start with, in DFS order. The iterators and the
+counting DFS loop over it, and with workers > 1 each first slice is one
+process-pool task whose counts are summed, independent of the partition.
 """
 from __future__ import annotations
 
@@ -154,9 +156,34 @@ def _plateau_is_directed(plats: tuple[Stratum, ...]) -> bool:
     return len(seen) == len(cells)
 
 
-def _iter_columns(k: int, n: int, first_h: int | None = None) -> Iterator[tuple[Column, ...]]:
-    """All normalized column tuples with k columns and total area n, by DFS
-    over heights (pruned on remaining area) and overlap-feasible bottoms."""
+def _first_columns(k: int, n: int) -> list[Column]:
+    """The normalized first columns (0, h) of the width-k column tuples of
+    area n, in DFS order: every height that leaves each later column one
+    cell, the whole area for a single column. Empty when n < k."""
+    if k < 1:
+        raise ValueError(f"width must be >= 1, got {k}")
+    if n < k:
+        return []
+    h_min = n if k == 1 else 1
+    return [(0, h) for h in range(h_min, n - k + 2)]
+
+
+def _first_strata(k: int, m: int) -> list[Stratum]:
+    """The normalized first strata (0, h, 0, d) of the width-k stratum
+    tuples of lateral area m, in DFS order (by h + d, then h): each later
+    stratum needs h + d >= 2, a single one takes it all. Empty when m < 2k."""
+    if k < 1:
+        raise ValueError(f"width must be >= 1, got {k}")
+    if m < 2 * k:
+        return []
+    s_min = m if k == 1 else 2
+    return [(0, h, 0, s - h) for s in range(s_min, m - 2 * (k - 1) + 1) for h in range(1, s)]
+
+
+def _iter_columns(k: int, n: int, firsts: list[Column] | None = None) -> Iterator[tuple[Column, ...]]:
+    """All normalized column tuples with k columns and total area n (only
+    those starting with one of firsts, when given), by DFS over heights
+    (pruned on remaining area) and overlap-feasible bottoms."""
     current: list[Column] = []
 
     def rec(cols_left: int, area_left: int) -> Iterator[tuple[Column, ...]]:
@@ -164,36 +191,24 @@ def _iter_columns(k: int, n: int, first_h: int | None = None) -> Iterator[tuple[
             yield tuple(current)
             return
         # later columns need 1 cell each; the last column takes the rest
-        h_max = area_left - (cols_left - 1)
         h_min = area_left if cols_left == 1 else 1
-        if not current:
-            heights = (first_h,) if first_h is not None else range(h_min, h_max + 1)
-            for h in heights:
-                if not h_min <= h <= h_max:
-                    continue
-                current.append((0, h))
-                yield from rec(cols_left - 1, area_left - h)
-                current.pop()
-            return
         pb, ph = current[-1]
-        for h in range(h_min, h_max + 1):
+        for h in range(h_min, area_left - (cols_left - 1) + 1):
             for b in range(pb - h + 1, pb + ph):
                 current.append((b, h))
                 yield from rec(cols_left - 1, area_left - h)
                 current.pop()
 
-    if k < 1:
-        raise ValueError(f"width must be >= 1, got {k}")
-    if n < k:
-        return
-    yield from rec(k, n)
+    for first in _first_columns(k, n) if firsts is None else firsts:
+        current.append(first)
+        yield from rec(k - 1, n - first[1])
+        current.pop()
 
 
-def _iter_strata(
-    k: int, m: int, first_hd: tuple[int, int] | None = None
-) -> Iterator[tuple[Stratum, ...]]:
-    """All normalized stratum tuples with k strata and lateral area m, by DFS
-    over (height, depth) pairs and overlap-feasible y/z offsets."""
+def _iter_strata(k: int, m: int, firsts: list[Stratum] | None = None) -> Iterator[tuple[Stratum, ...]]:
+    """All normalized stratum tuples with k strata and lateral area m (only
+    those starting with one of firsts, when given), by DFS over (height,
+    depth) pairs and overlap-feasible y/z offsets."""
     current: list[Stratum] = []
 
     def rec(cols_left: int, area_left: int) -> Iterator[tuple[Stratum, ...]]:
@@ -201,25 +216,9 @@ def _iter_strata(
             yield tuple(current)
             return
         # later strata need h + d >= 2 each; the last stratum takes the rest
-        budget = area_left - 2 * (cols_left - 1)
         s_min = area_left if cols_left == 1 else 2
-        if not current:
-            if first_hd is not None:
-                h, d = first_hd
-                if h < 1 or d < 1 or not s_min <= h + d <= budget:
-                    return
-                current.append((0, h, 0, d))
-                yield from rec(cols_left - 1, area_left - h - d)
-                current.pop()
-                return
-            for s in range(s_min, budget + 1):
-                for h in range(1, s):
-                    current.append((0, h, 0, s - h))
-                    yield from rec(cols_left - 1, area_left - s)
-                    current.pop()
-            return
         py, ph, pz, pd = current[-1]
-        for s in range(s_min, budget + 1):
+        for s in range(s_min, area_left - 2 * (cols_left - 1) + 1):
             for h in range(1, s):
                 d = s - h
                 for y in range(py - h + 1, py + ph):
@@ -228,23 +227,18 @@ def _iter_strata(
                         yield from rec(cols_left - 1, area_left - s)
                         current.pop()
 
-    if k < 1:
-        raise ValueError(f"width must be >= 1, got {k}")
-    if m < 2 * k:
-        return
-    yield from rec(k, m)
+    for first in _first_strata(k, m) if firsts is None else firsts:
+        current.append(first)
+        yield from rec(k - 1, m - first[1] - first[3])
+        current.pop()
 
 
-def _count_columns(k: int, n: int, first_h: int | None = None, accept=None) -> int:
-    """How many tuples _iter_columns(k, n, first_h) yields (only those that
+def _count_columns(k: int, n: int, firsts: list[Column] | None = None, accept=None) -> int:
+    """How many tuples _iter_columns(k, n, firsts) yields (only those that
     pass accept, when given), by the same DFS returning counts instead of
     yielding. Without accept, the last column's overlap-feasible bottoms
     are counted, not visited: a column of height h under one (pb, ph) has
     ph + h - 1 of them."""
-    if k < 1:
-        raise ValueError(f"width must be >= 1, got {k}")
-    if n < k:
-        return 0
     current: list[Column] = []
 
     def rec(cols_left: int, area_left: int) -> int:
@@ -262,27 +256,20 @@ def _count_columns(k: int, n: int, first_h: int | None = None, accept=None) -> i
                 current.pop()
         return total
 
-    h_max = n - (k - 1)
-    h_min = n if k == 1 else 1
     total = 0
-    for h in (first_h,) if first_h is not None else range(h_min, h_max + 1):
-        if h_min <= h <= h_max:
-            current.append((0, h))
-            total += rec(k - 1, n - h)
-            current.pop()
+    for first in _first_columns(k, n) if firsts is None else firsts:
+        current.append(first)
+        total += rec(k - 1, n - first[1])
+        current.pop()
     return total
 
 
-def _count_strata(k: int, m: int, first_hd: tuple[int, int] | None = None, accept=None) -> int:
-    """How many tuples _iter_strata(k, m, first_hd) yields (only those that
+def _count_strata(k: int, m: int, firsts: list[Stratum] | None = None, accept=None) -> int:
+    """How many tuples _iter_strata(k, m, firsts) yields (only those that
     pass accept, when given), by the same DFS returning counts instead of
     yielding. Without accept, the last stratum's overlap-feasible offsets
     are counted, not visited: a stratum (h, d) under one (py, ph, pz, pd)
     has (ph + h - 1) * (pd + d - 1) of them."""
-    if k < 1:
-        raise ValueError(f"width must be >= 1, got {k}")
-    if m < 2 * k:
-        return 0
     current: list[Stratum] = []
 
     def rec(cols_left: int, area_left: int) -> int:
@@ -306,14 +293,11 @@ def _count_strata(k: int, m: int, first_hd: tuple[int, int] | None = None, accep
                         current.pop()
         return total
 
-    budget = m - 2 * (k - 1)
-    s_min = m if k == 1 else 2
     total = 0
-    for h, d in (first_hd,) if first_hd is not None else _first_hd_parts(k, m):
-        if h >= 1 and d >= 1 and s_min <= h + d <= budget:
-            current.append((0, h, 0, d))
-            total += rec(k - 1, m - h - d)
-            current.pop()
+    for first in _first_strata(k, m) if firsts is None else firsts:
+        current.append(first)
+        total += rec(k - 1, m - first[1] - first[3])
+        current.pop()
     return total
 
 
@@ -343,51 +327,43 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
             yield PlateauPolycube(plats)
 
 
-def _first_h_parts(k: int, n: int) -> range:
-    return range(1, n - k + 2)
-
-
-def _first_hd_parts(k: int, m: int) -> list[tuple[int, int]]:
-    budget = m - 2 * (k - 1)
-    return [(h, d) for h in range(1, budget) for d in range(1, budget - h + 1)]
-
-
-def _enum(count, parts, k: int, size: int, accept, workers: int) -> int:
+def _enum(count, firsts, k: int, size: int, accept, workers: int) -> int:
     """count(k, size, accept=accept), or with workers > 1 the sum of
-    count(k, size, part, accept=accept) over the first-level parts(k, size),
-    mapped over a pool of that many processes."""
-    chunks = parts(k, size) if workers > 1 and k >= 1 else ()
+    count(k, size, [first], accept=accept) over the first slices
+    firsts(k, size), one task each, mapped over a pool of at most that
+    many processes."""
+    chunks = firsts(k, size) if workers > 1 else []
     if not chunks:
         return count(k, size, accept=accept)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(partial(count, k, size, accept=accept), chunks))
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        return sum(pool.map(partial(count, k, size, accept=accept), [[first] for first in chunks]))
 
 
 def enum_cc(k: int, n: int, workers: int = 1) -> int:
     """Count of column-convex polyominoes with k columns and area n, by
     exhaustive search with the last column's bottoms counted by
     arithmetic. 0 when n < k."""
-    return _enum(_count_columns, _first_h_parts, k, n, None, workers)
+    return _enum(_count_columns, _first_columns, k, n, None, workers)
 
 
 def enum_dcc(k: int, n: int, workers: int = 1) -> int:
     """Count of directed column-convex polyominoes with k columns and
     area n, by exhaustive generation plus a reachability check. 0 when
     n < k."""
-    return _enum(_count_columns, _first_h_parts, k, n, _cc_is_directed, workers)
+    return _enum(_count_columns, _first_columns, k, n, _cc_is_directed, workers)
 
 
 def enum_plateau(k: int, m: int, workers: int = 1) -> int:
     """Count of plateau polycubes with k strata and lateral area m, by
     exhaustive search with the last stratum's offsets counted by
     arithmetic. 0 when m < 2k."""
-    return _enum(_count_strata, _first_hd_parts, k, m, None, workers)
+    return _enum(_count_strata, _first_strata, k, m, None, workers)
 
 
 def enum_dplateau(k: int, m: int, workers: int = 1) -> int:
     """Count of directed plateau polycubes with k strata and lateral area m,
     by exhaustive generation plus a reachability check. 0 when m < 2k."""
-    return _enum(_count_strata, _first_hd_parts, k, m, _plateau_is_directed, workers)
+    return _enum(_count_strata, _first_strata, k, m, _plateau_is_directed, workers)
 
 
 def project(p: PlateauPolycube) -> tuple[ColumnConvexPoly, ColumnConvexPoly]:

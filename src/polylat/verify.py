@@ -252,10 +252,11 @@ def suite_asymptotics() -> RunReport:
     evaluates to 2152, the table entry at lateral area 11, fixing the
     reading)."""
     report = RunReport("asymptotics")
+    reading = "r_{{k,2k+offset}}: offset 3, k=4 -> {}"
     report.add(
         "plateau-size-reading",
-        "r_{k,2k+offset} (confirmed by offset 3, k=4 -> 2152)",
-        "r_{k,2k+offset} (confirmed by offset 3, k=4 -> 2152)",
+        reading.format(asymptotics.RatPoly(published_polynomial("plateau", 3))(4)),
+        reading.format(r_gf(4, 2 * 4 + 3)),
     )
     for family in ("cc", "plateau"):
         for offset in range(7):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from polylat.cli import MAX_SIZE, MAX_TABLE_CELLS, MAX_WIDTH, main
+from polylat import oracle
+from polylat.cli import MAX_SIZE, MAX_TABLE_CELLS, MAX_WIDTH, MAX_WORKERS, main
 from polylat.counting import AREA_FAMILIES, ROUTES
 from polylat.reference_tables import CC_TABLE
 
@@ -274,6 +275,22 @@ def test_workers_must_be_positive(capsys, workers):
     code, out, err = run_cli(capsys, "verify", "--suite", "delannoy", "--workers", workers)
     assert (code, out) == (2, "")
     assert "--workers must be >= 1" in err
+
+
+@pytest.mark.parametrize("workers", ["65", "100000"])
+def test_workers_over_limit(capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    code, out, err = run_cli(
+        capsys, "count", "--family", "plateau", "-k", "3", "-m", "9", "--method", "oracle", "--workers", workers
+    )
+    assert (code, out) == (2, "")
+    assert f"--workers {workers} is over the limit of {MAX_WORKERS}" in err
+    code, out, err = run_cli(capsys, "verify", "--suite", "tables", "--workers", workers)
+    assert (code, out) == (2, "")
+    assert f"--workers {workers} is over the limit of {MAX_WORKERS}" in err
 
 
 # SHA-256 of stdout, taken when every series was still expanded by the

@@ -119,8 +119,9 @@ def test_antidiagonal_values():
 
 
 def test_antidiagonal_matches_triangle_rows():
-    triangle = tribonacci_triangle(9)
-    for k in range(10):
+    # the recurrence rows against the binomial sum behind the triangle
+    triangle = tribonacci_triangle(60)
+    for k in range(61):
         assert tuple(antidiagonal(k)) == triangle.rows[k]
 
 

@@ -1,11 +1,15 @@
 """Formula-based counters: frozen values from the published tables, route
 agreement, supports, and the published near-minimal-size polynomials."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylat import counting
 from polylat.asymptotics import RatPoly
 from polylat.combinatorics import binomial, delannoy_closed
 from polylat.counting import (
+    AREA_FAMILIES,
+    ROUTES,
     alpha_lemma,
     build_table,
     count_cc,
@@ -194,6 +198,25 @@ def _counting_expansions(monkeypatch):
 
     monkeypatch.setattr(counting, "gf_coeffs", counted)
     return calls
+
+
+@settings(deadline=None)
+@given(family=st.sampled_from(sorted(ROUTES)), k=st.integers(1, 3), extra=st.integers(-2, 5))
+def test_every_route_agrees_at_random_cells(family, k, extra):
+    # extra counts from the family's minimal size; below it every route gives 0
+    size = (k if family in AREA_FAMILIES else 2 * k) + extra
+    first, *others = ROUTES[family].values()
+    expected = first(k, size)
+    for route in others:
+        assert route(k, size) == expected
+
+
+def test_cells_outside_the_support_expand_nothing(monkeypatch):
+    calls = _counting_expansions(monkeypatch)
+    assert count_cc(50, 10) == 0
+    assert r_gf(40, 70) == 0
+    assert calls == []
+    assert counting._SERIES_CACHE == {}
 
 
 def test_build_table_cc_past_cache_growths(monkeypatch):

@@ -3,6 +3,8 @@ routes, projections, directedness, and the dump format."""
 import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polylat.counting import count_cc, count_dcc, r_gf, s_closed
 from polylat.oracle import (
@@ -11,7 +13,8 @@ from polylat.oracle import (
     _cc_is_directed,
     _count_columns,
     _count_strata,
-    _first_hd_parts,
+    _first_columns,
+    _first_strata,
     _iter_columns,
     _iter_strata,
     _plateau_is_directed,
@@ -127,21 +130,22 @@ def test_counting_parts_match_literal_parts():
     for k in range(1, 5):
         for n in range(k, 10):
             for accept in (None, _cc_is_directed):
-                parts = [_count_columns(k, n, first_h=h, accept=accept) for h in range(1, n - k + 2)]
+                firsts = _first_columns(k, n)
+                parts = [_count_columns(k, n, [first], accept=accept) for first in firsts]
                 literal = [
-                    sum(1 for cols in _iter_columns(k, n, first_h=h) if accept is None or accept(cols))
-                    for h in range(1, n - k + 2)
+                    sum(1 for cols in _iter_columns(k, n, [first]) if accept is None or accept(cols))
+                    for first in firsts
                 ]
                 assert parts == literal
                 assert sum(parts) == _count_columns(k, n, accept=accept)
     for k in range(1, 4):
         for m in range(2 * k, 11):
             for accept in (None, _plateau_is_directed):
-                hds = _first_hd_parts(k, m)
-                parts = [_count_strata(k, m, first_hd=hd, accept=accept) for hd in hds]
+                firsts = _first_strata(k, m)
+                parts = [_count_strata(k, m, [first], accept=accept) for first in firsts]
                 literal = [
-                    sum(1 for plats in _iter_strata(k, m, first_hd=hd) if accept is None or accept(plats))
-                    for hd in hds
+                    sum(1 for plats in _iter_strata(k, m, [first]) if accept is None or accept(plats))
+                    for first in firsts
                 ]
                 assert parts == literal
                 assert sum(parts) == _count_strata(k, m, accept=accept)
@@ -192,6 +196,21 @@ def test_unproject_round_trip():
                     for b in iter_cc(width, total - i):
                         p = unproject(a, b)
                         assert project(p) == (a, b)
+
+
+# one object drawn from everything the literal iterators yield at a small
+# random (width, size)
+column_convex = st.integers(1, 4).flatmap(
+    lambda k: st.integers(k, 10).flatmap(lambda n: st.sampled_from(list(iter_cc(k, n))))
+)
+plateaus = st.integers(1, 3).flatmap(
+    lambda k: st.integers(2 * k, 9).flatmap(lambda m: st.sampled_from(list(iter_plateau(k, m))))
+)
+
+
+@given(plateaus)
+def test_unproject_inverts_project_on_random_objects(p):
+    assert unproject(*project(p)) == p
 
 
 def test_unproject_rejects_width_mismatch():
@@ -303,6 +322,12 @@ def test_dump_and_parse_round_trip():
     assert count == enum_dplateau(2, 6) == len(lines)
     parsed = [parse_plateau(line) for line in lines]
     assert all(p.is_directed() for p in parsed)
+
+
+@given(column_convex, plateaus)
+def test_parse_inverts_format_on_random_objects(poly, cube):
+    assert parse_cc(format_cc(poly)) == poly
+    assert parse_plateau(format_plateau(cube)) == cube
 
 
 def test_format_parse_inverse():

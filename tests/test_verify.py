@@ -92,6 +92,9 @@ def test_asymptotics_suite_all_pass():
     assert report.summary[FAIL] == 0
     ids = {c.id for c in report.checks}
     assert "plateau-size-reading" in ids
+    # the published offset-3 polynomial at k=4 and the count at area 11
+    reading = next(c for c in report.checks if c.id == "plateau-size-reading")
+    assert reading.expected == reading.actual == "r_{k,2k+offset}: offset 3, k=4 -> 2152"
     for family in ("cc", "plateau"):
         for offset in range(7):
             assert f"asympt-{family}-offset{offset}-degree" in ids
