@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    count    one exact count, selectable computation route
+    count    one exact count, selectable route (--workers: oracle processes)
     table    a full table of counts (csv, json or md)
     gf       leading coefficients of one of the generating functions
     verify   run a verification suite, JSON report on stdout
@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 on success (verification discrepancies with published values
 do not fail a run), 1 when a verification check fails or a --dump writes
 a different number of objects than the oracle counted, 2 on usage errors,
-including a width, size, term count, table or worker count over its limit.
+including a width, size, term count, table or worker count over its limit
+(the width and size caps hold for every count route, the oracle included).
 All output is deterministic; counts are printed in full decimal.
 """
 from __future__ import annotations
@@ -56,6 +57,11 @@ def _over_limit(*checks) -> str | None:
 
 
 def cmd_count(args, parser) -> int:
+    if args.workers < 1:
+        return _usage_error(parser, f"--workers must be >= 1, got {args.workers}")
+    message = _over_limit(("--workers", args.workers, MAX_WORKERS))
+    if message:
+        return _usage_error(parser, message)
     family = args.family
     if args.n is not None and args.m is not None:
         return _usage_error(parser, "give one size, -n or -m, not both")
@@ -69,11 +75,10 @@ def cmd_count(args, parser) -> int:
         return _usage_error(parser, f"method {method!r} is not available for family {family!r} (valid: {valid})")
     if args.dump and method != "oracle":
         return _usage_error(parser, "--dump requires --method oracle")
-    if method != "oracle":
-        size_flag = "-n" if args.n is not None else "-m"
-        message = _over_limit(("-k", args.k, MAX_WIDTH), (size_flag, size, MAX_SIZE))
-        if message:
-            return _usage_error(parser, message)
+    size_flag = "-n" if args.n is not None else "-m"
+    message = _over_limit(("-k", args.k, MAX_WIDTH), (size_flag, size, MAX_SIZE))
+    if message:
+        return _usage_error(parser, message)
     try:
         if method == "oracle":
             value = routes[method](args.k, size, workers=args.workers)
@@ -158,13 +163,15 @@ def cmd_gf(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    report = verify.run_suite(args.suite, workers=args.workers)
+    report = verify.run_suite(args.suite)
     print(report.to_json())
     return 1 if report.failed else 0
 
 
 def cmd_asympt(args, parser) -> int:
     family, offset = args.family, args.offset
+    if offset < 0:
+        return _usage_error(parser, "--offset must be >= 0")
     k_min = offset + 1
     needed = k_min + offset + 2 - 1
     k_max = args.k_max if args.k_max is not None else k_min + offset + 6
@@ -229,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True, choices=verify.SUITES)
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_asympt = sub.add_parser("asympt", help="fit a width polynomial")
@@ -244,14 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "offset", None) is not None and args.offset < 0:
-        return _usage_error(parser, "--offset must be >= 0")
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        return _usage_error(parser, f"--workers must be >= 1, got {workers}")
-    message = _over_limit(("--workers", workers, MAX_WORKERS))
-    if message:
-        return _usage_error(parser, message)
     return args.fn(args, parser)
 
 

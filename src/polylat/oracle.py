@@ -10,11 +10,13 @@ plain depth-first generation over heights/depths and offsets, pruned on
 the remaining size budget, with no canonical-form hashing.
 
 The iter_* generators (and so dump_objects, --dump and the bijection
-suite) build and yield every object literally. The enum_* counts walk the
-same search tree by plain recursion without yielding: they visit every
-offset of every column/stratum but the last, whose overlap-feasible
-offsets they count by arithmetic for cc and plateau. For dcc and dplateau
-every complete tuple is still built and passed to the reachability check.
+suite) build and yield every object literally, by one DFS (_iter_slices)
+over a successor rule per slice kind (_next_columns, _next_strata). The
+enum_cc and enum_plateau counts walk the same search tree by plain
+recursion without yielding: they visit every offset of every
+column/stratum but the last, whose overlap-feasible offsets they count by
+arithmetic. enum_dcc and enum_dplateau count the tuples of that one DFS
+which pass the reachability check.
 
 Directedness is decided by literal reachability search: North/East unit
 steps in 2D from the bottom cell of the leftmost column, and
@@ -23,8 +25,9 @@ stratum.
 
 One rule per family (_first_columns, _first_strata) lists the normalized
 first slices an object can start with, in DFS order. The iterators and the
-counting DFS loop over it, and with workers > 1 each first slice is one
-process-pool task whose counts are summed, independent of the partition.
+counting DFS loop over it, and with workers > 1 and more than one first
+slice each first slice is one process-pool task whose counts are summed,
+independent of the partition.
 """
 from __future__ import annotations
 
@@ -180,125 +183,113 @@ def _first_strata(k: int, m: int) -> list[Stratum]:
     return [(0, h, 0, s - h) for s in range(s_min, m - 2 * (k - 1) + 1) for h in range(1, s)]
 
 
-def _iter_columns(k: int, n: int, firsts: list[Column] | None = None) -> Iterator[tuple[Column, ...]]:
-    """All normalized column tuples with k columns and total area n (only
-    those starting with one of firsts, when given), by DFS over heights
-    (pruned on remaining area) and overlap-feasible bottoms."""
-    current: list[Column] = []
+def _next_columns(prev: Column, cols_left: int, area_left: int) -> Iterator[tuple[Column, int]]:
+    """The columns (b, h) that can follow prev when cols_left columns, this
+    one included, share area_left cells, each with its area h: heights
+    pruned on the remaining area, then the overlap-feasible bottoms."""
+    # later columns need 1 cell each; the last column takes the rest
+    h_min = area_left if cols_left == 1 else 1
+    pb, ph = prev
+    for h in range(h_min, area_left - (cols_left - 1) + 1):
+        for b in range(pb - h + 1, pb + ph):
+            yield (b, h), h
 
-    def rec(cols_left: int, area_left: int) -> Iterator[tuple[Column, ...]]:
-        if cols_left == 0:
+
+def _next_strata(prev: Stratum, cols_left: int, area_left: int) -> Iterator[tuple[Stratum, int]]:
+    """The strata (y, h, z, d) that can follow prev when cols_left strata,
+    this one included, share lateral area area_left, each with its lateral
+    area h + d: (height, depth) pairs pruned on the remaining area, then the
+    overlap-feasible y/z offsets."""
+    # later strata need h + d >= 2 each; the last stratum takes the rest
+    s_min = area_left if cols_left == 1 else 2
+    py, ph, pz, pd = prev
+    for s in range(s_min, area_left - 2 * (cols_left - 1) + 1):
+        for h in range(1, s):
+            d = s - h
+            for y in range(py - h + 1, py + ph):
+                for z in range(pz - d + 1, pz + pd):
+                    yield (y, h, z, d), s
+
+
+def _iter_slices(first_slices, successors, k: int, size: int, firsts: list | None = None) -> Iterator[tuple]:
+    """All slice tuples of width k and total size `size` that start with one
+    of firsts (by default all of first_slices(k, size)), by DFS over
+    successors(prev, slices_left, size_left). A slice's size is the sum of
+    its extents, its odd-indexed entries."""
+    current: list = []
+
+    def rec(slices_left: int, size_left: int) -> Iterator[tuple]:
+        if slices_left == 0:
             yield tuple(current)
             return
-        # later columns need 1 cell each; the last column takes the rest
-        h_min = area_left if cols_left == 1 else 1
-        pb, ph = current[-1]
-        for h in range(h_min, area_left - (cols_left - 1) + 1):
-            for b in range(pb - h + 1, pb + ph):
-                current.append((b, h))
-                yield from rec(cols_left - 1, area_left - h)
-                current.pop()
+        for nxt, used in successors(current[-1], slices_left, size_left):
+            current.append(nxt)
+            yield from rec(slices_left - 1, size_left - used)
+            current.pop()
 
-    for first in _first_columns(k, n) if firsts is None else firsts:
+    for first in first_slices(k, size) if firsts is None else firsts:
         current.append(first)
-        yield from rec(k - 1, n - first[1])
+        yield from rec(k - 1, size - sum(first[1::2]))
         current.pop()
 
 
-def _iter_strata(k: int, m: int, firsts: list[Stratum] | None = None) -> Iterator[tuple[Stratum, ...]]:
-    """All normalized stratum tuples with k strata and lateral area m (only
-    those starting with one of firsts, when given), by DFS over (height,
-    depth) pairs and overlap-feasible y/z offsets."""
-    current: list[Stratum] = []
+# (k, n[, firsts]): the normalized column tuples of width k and area n, and
+# (k, m[, firsts]): the normalized stratum tuples of width k and lateral area m.
+_iter_columns = partial(_iter_slices, _first_columns, _next_columns)
+_iter_strata = partial(_iter_slices, _first_strata, _next_strata)
 
-    def rec(cols_left: int, area_left: int) -> Iterator[tuple[Stratum, ...]]:
+
+def _count_columns(k: int, n: int, firsts: list[Column] | None = None) -> int:
+    """How many tuples _iter_columns(k, n, firsts) yields, by the same DFS
+    returning counts instead of yielding. The last column's overlap-feasible
+    bottoms are counted, not visited: a column of height h under one
+    (pb, ph) has ph + h - 1 of them."""
+
+    def rec(pb: int, ph: int, cols_left: int, area_left: int) -> int:
         if cols_left == 0:
-            yield tuple(current)
-            return
-        # later strata need h + d >= 2 each; the last stratum takes the rest
-        s_min = area_left if cols_left == 1 else 2
-        py, ph, pz, pd = current[-1]
-        for s in range(s_min, area_left - 2 * (cols_left - 1) + 1):
-            for h in range(1, s):
-                d = s - h
-                for y in range(py - h + 1, py + ph):
-                    for z in range(pz - d + 1, pz + pd):
-                        current.append((y, h, z, d))
-                        yield from rec(cols_left - 1, area_left - s)
-                        current.pop()
-
-    for first in _first_strata(k, m) if firsts is None else firsts:
-        current.append(first)
-        yield from rec(k - 1, m - first[1] - first[3])
-        current.pop()
-
-
-def _count_columns(k: int, n: int, firsts: list[Column] | None = None, accept=None) -> int:
-    """How many tuples _iter_columns(k, n, firsts) yields (only those that
-    pass accept, when given), by the same DFS returning counts instead of
-    yielding. Without accept, the last column's overlap-feasible bottoms
-    are counted, not visited: a column of height h under one (pb, ph) has
-    ph + h - 1 of them."""
-    current: list[Column] = []
-
-    def rec(cols_left: int, area_left: int) -> int:
-        if cols_left == 0:
-            return 1 if accept is None or accept(tuple(current)) else 0
-        pb, ph = current[-1]
-        if cols_left == 1 and accept is None:
+            return 1
+        if cols_left == 1:
             return ph + area_left - 1
-        h_min = area_left if cols_left == 1 else 1
         total = 0
-        for h in range(h_min, area_left - (cols_left - 1) + 1):
+        for h in range(1, area_left - (cols_left - 1) + 1):
             for b in range(pb - h + 1, pb + ph):
-                current.append((b, h))
-                total += rec(cols_left - 1, area_left - h)
-                current.pop()
+                total += rec(b, h, cols_left - 1, area_left - h)
         return total
 
-    total = 0
-    for first in _first_columns(k, n) if firsts is None else firsts:
-        current.append(first)
-        total += rec(k - 1, n - first[1])
-        current.pop()
-    return total
+    firsts = _first_columns(k, n) if firsts is None else firsts
+    return sum(rec(b, h, k - 1, n - h) for b, h in firsts)
 
 
-def _count_strata(k: int, m: int, firsts: list[Stratum] | None = None, accept=None) -> int:
-    """How many tuples _iter_strata(k, m, firsts) yields (only those that
-    pass accept, when given), by the same DFS returning counts instead of
-    yielding. Without accept, the last stratum's overlap-feasible offsets
-    are counted, not visited: a stratum (h, d) under one (py, ph, pz, pd)
-    has (ph + h - 1) * (pd + d - 1) of them."""
-    current: list[Stratum] = []
+def _count_strata(k: int, m: int, firsts: list[Stratum] | None = None) -> int:
+    """How many tuples _iter_strata(k, m, firsts) yields, by the same DFS
+    returning counts instead of yielding. The last stratum's overlap-feasible
+    offsets are counted, not visited: a stratum (h, d) under one
+    (py, ph, pz, pd) has (ph + h - 1) * (pd + d - 1) of them."""
 
-    def rec(cols_left: int, area_left: int) -> int:
+    def rec(py: int, ph: int, pz: int, pd: int, cols_left: int, area_left: int) -> int:
         if cols_left == 0:
-            return 1 if accept is None or accept(tuple(current)) else 0
-        py, ph, pz, pd = current[-1]
-        if cols_left == 1 and accept is None:
+            return 1
+        if cols_left == 1:
             total = 0
             for h in range(1, area_left):
                 total += (ph + h - 1) * (pd + area_left - h - 1)
             return total
-        s_min = area_left if cols_left == 1 else 2
         total = 0
-        for s in range(s_min, area_left - 2 * (cols_left - 1) + 1):
+        for s in range(2, area_left - 2 * (cols_left - 1) + 1):
             for h in range(1, s):
                 d = s - h
                 for y in range(py - h + 1, py + ph):
                     for z in range(pz - d + 1, pz + pd):
-                        current.append((y, h, z, d))
-                        total += rec(cols_left - 1, area_left - s)
-                        current.pop()
+                        total += rec(y, h, z, d, cols_left - 1, area_left - s)
         return total
 
-    total = 0
-    for first in _first_strata(k, m) if firsts is None else firsts:
-        current.append(first)
-        total += rec(k - 1, m - first[1] - first[3])
-        current.pop()
-    return total
+    firsts = _first_strata(k, m) if firsts is None else firsts
+    return sum(rec(y, h, z, d, k - 1, m - h - d) for y, h, z, d in firsts)
+
+
+def _count_directed(iterate, is_directed, k: int, size: int, firsts: list | None = None) -> int:
+    """How many tuples iterate(k, size, firsts) yields that pass is_directed."""
+    return sum(map(is_directed, iterate(k, size, firsts)))
 
 
 def iter_cc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
@@ -327,43 +318,43 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
             yield PlateauPolycube(plats)
 
 
-def _enum(count, firsts, k: int, size: int, accept, workers: int) -> int:
-    """count(k, size, accept=accept), or with workers > 1 the sum of
-    count(k, size, [first], accept=accept) over the first slices
-    firsts(k, size), one task each, mapped over a pool of at most that
-    many processes."""
+def _enum(count, firsts, k: int, size: int, workers: int) -> int:
+    """count(k, size), or with workers > 1 and more than one first slice in
+    firsts(k, size) the sum of count(k, size, [first]) over them, one task
+    each, mapped over a pool of at most that many processes."""
     chunks = firsts(k, size) if workers > 1 else []
-    if not chunks:
-        return count(k, size, accept=accept)
+    if len(chunks) < 2:
+        return count(k, size)
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        return sum(pool.map(partial(count, k, size, accept=accept), [[first] for first in chunks]))
+        return sum(pool.map(partial(count, k, size), [[first] for first in chunks]))
 
 
 def enum_cc(k: int, n: int, workers: int = 1) -> int:
     """Count of column-convex polyominoes with k columns and area n, by
     exhaustive search with the last column's bottoms counted by
     arithmetic. 0 when n < k."""
-    return _enum(_count_columns, _first_columns, k, n, None, workers)
+    return _enum(_count_columns, _first_columns, k, n, workers)
 
 
 def enum_dcc(k: int, n: int, workers: int = 1) -> int:
     """Count of directed column-convex polyominoes with k columns and
-    area n, by exhaustive generation plus a reachability check. 0 when
-    n < k."""
-    return _enum(_count_columns, _first_columns, k, n, _cc_is_directed, workers)
+    area n: the column tuples of _iter_columns that pass the reachability
+    check. 0 when n < k."""
+    return _enum(partial(_count_directed, _iter_columns, _cc_is_directed), _first_columns, k, n, workers)
 
 
 def enum_plateau(k: int, m: int, workers: int = 1) -> int:
     """Count of plateau polycubes with k strata and lateral area m, by
     exhaustive search with the last stratum's offsets counted by
     arithmetic. 0 when m < 2k."""
-    return _enum(_count_strata, _first_strata, k, m, None, workers)
+    return _enum(_count_strata, _first_strata, k, m, workers)
 
 
 def enum_dplateau(k: int, m: int, workers: int = 1) -> int:
-    """Count of directed plateau polycubes with k strata and lateral area m,
-    by exhaustive generation plus a reachability check. 0 when m < 2k."""
-    return _enum(_count_strata, _first_strata, k, m, _plateau_is_directed, workers)
+    """Count of directed plateau polycubes with k strata and lateral area m:
+    the stratum tuples of _iter_strata that pass the reachability check.
+    0 when m < 2k."""
+    return _enum(partial(_count_directed, _iter_strata, _plateau_is_directed), _first_strata, k, m, workers)
 
 
 def project(p: PlateauPolycube) -> tuple[ColumnConvexPoly, ColumnConvexPoly]:

@@ -153,15 +153,18 @@ def suite_lemma41() -> RunReport:
     return report
 
 
-def suite_tables(workers: int = 1) -> RunReport:
+def suite_tables() -> RunReport:
     """Both published tables against regeneration, plus cross-method
     agreement (generating function vs convolution vs, where feasible, the
-    geometric oracle) over the full regenerated range."""
+    geometric oracle) over the full regenerated range. Widths and sizes
+    are those the published tables print."""
     report = RunReport("tables")
 
-    cc = build_table("cc", 10, 10)
-    for n in range(1, 11):
-        report.add(f"cc-table-n{n}", list(CC_TABLE[n - 1]), cc.row(n))
+    cc = build_table("cc", len(CC_TABLE[0]), len(CC_TABLE))
+    for n, printed in enumerate(CC_TABLE, start=1):
+        report.add(f"cc-table-n{n}", list(printed), cc.row(n))
+
+    widths = range(1, len(PLATEAU_ROWS[0][1]) + 1)
 
     for index, (label, values) in enumerate(PLATEAU_ROWS):
         m = plateau_row_size(values)
@@ -173,28 +176,28 @@ def suite_tables(workers: int = 1) -> RunReport:
                 PAPER_DISCREPANCY,
             )
         clean = True
-        for k in range(1, 8):
+        for k in widths:
             regenerated = r_gf(k, m)
             if values[k - 1] != regenerated:
                 clean = False
                 report.add(f"plateau-table-m{m}-k{k}", regenerated, values[k - 1], PAPER_DISCREPANCY)
         if clean:
-            report.add(f"plateau-row-m{m}", list(values), [r_gf(k, m) for k in range(1, 8)])
+            report.add(f"plateau-row-m{m}", list(values), [r_gf(k, m) for k in widths])
 
     max_m = max(plateau_row_size(values) for _, values in PLATEAU_ROWS)
-    for k in range(1, 8):
+    for k in widths:
         ok = all(r_conv(k, m) == r_gf(k, m) for m in range(2, max_m + 1))
         report.add(f"plateau-gf-vs-conv-k{k}", True, ok)
 
     for m in range(2, ORACLE_SIZE_LIMIT + 1):
         confirmed, skipped = [], []
         agreed = True
-        for k in range(1, 8):
+        for k in widths:
             expected = r_gf(k, m)
             if expected > ORACLE_COUNT_BUDGET:
                 skipped.append(k)
                 continue
-            if oracle.enum_plateau(k, m, workers=workers) != expected:
+            if oracle.enum_plateau(k, m) != expected:
                 agreed = False
             confirmed.append(k)
         # the skipped widths are known before the oracle runs: part of the
@@ -285,23 +288,23 @@ def suite_asymptotics() -> RunReport:
 
 
 _RUNNERS = {
-    "delannoy": lambda workers: suite_delannoy(),
-    "vandermonde": lambda workers: suite_vandermonde(),
-    "lemma41": lambda workers: suite_lemma41(),
-    "tables": lambda workers: suite_tables(workers=workers),
-    "bijection": lambda workers: suite_bijection(),
-    "asymptotics": lambda workers: suite_asymptotics(),
+    "delannoy": suite_delannoy,
+    "vandermonde": suite_vandermonde,
+    "lemma41": suite_lemma41,
+    "tables": suite_tables,
+    "bijection": suite_bijection,
+    "asymptotics": suite_asymptotics,
 }
 SUITES = (*_RUNNERS, "all")
 
 
-def run_suite(suite: str, workers: int = 1) -> RunReport:
+def run_suite(suite: str) -> RunReport:
     """Run one named suite (or 'all') and return its report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
     if suite != "all":
-        return _RUNNERS[suite](workers)
+        return _RUNNERS[suite]()
     combined = RunReport("all")
     for name in _RUNNERS:
-        combined.extend(run_suite(name, workers=workers))
+        combined.extend(run_suite(name))
     return combined

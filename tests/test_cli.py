@@ -1,11 +1,12 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from polylat import oracle
-from polylat.cli import MAX_SIZE, MAX_TABLE_CELLS, MAX_WIDTH, MAX_WORKERS, main
+from polylat.cli import MAX_SIZE, MAX_TABLE_CELLS, MAX_WIDTH, MAX_WORKERS, build_parser, main
 from polylat.counting import AREA_FAMILIES, ROUTES
 from polylat.reference_tables import CC_TABLE
 
@@ -204,7 +205,7 @@ def test_verify_unknown_suite(capsys):
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
     from polylat import verify as verify_module
 
-    def broken_suite(suite, workers=1):
+    def broken_suite(suite):
         report = verify_module.RunReport(suite)
         report.add("synthetic", 1, 2)
         return report
@@ -272,9 +273,6 @@ def test_workers_must_be_positive(capsys, workers):
     )
     assert (code, out) == (2, "")
     assert "--workers must be >= 1" in err
-    code, out, err = run_cli(capsys, "verify", "--suite", "delannoy", "--workers", workers)
-    assert (code, out) == (2, "")
-    assert "--workers must be >= 1" in err
 
 
 @pytest.mark.parametrize("workers", ["65", "100000"])
@@ -288,9 +286,32 @@ def test_workers_over_limit(capsys, monkeypatch, workers):
     )
     assert (code, out) == (2, "")
     assert f"--workers {workers} is over the limit of {MAX_WORKERS}" in err
-    code, out, err = run_cli(capsys, "verify", "--suite", "tables", "--workers", workers)
-    assert (code, out) == (2, "")
-    assert f"--workers {workers} is over the limit of {MAX_WORKERS}" in err
+
+
+def test_verify_takes_no_workers(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "delannoy", "--workers", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+# Every subcommand's options: adding or dropping one must change this map.
+CLI_OPTIONS = {
+    "count": {"--family", "-k", "-n", "-m", "--method", "--workers", "--dump", "--json"},
+    "table": {"--family", "--k-max", "--size-max", "--format"},
+    "gf": {"--which", "-k", "--terms", "--json"},
+    "verify": {"--suite"},
+    "asympt": {"--family", "--offset", "--k-max"},
+}
+
+
+def test_cli_option_surface():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == CLI_OPTIONS
 
 
 # SHA-256 of stdout, taken when every series was still expanded by the
@@ -337,6 +358,8 @@ def test_gf_golden_digest(capsys, which):
         (["count", "--family", "dplateau", "-k", str(MAX_WIDTH + 1), "-m", "4", "--method", "gf"], f"-k {MAX_WIDTH + 1} is over the limit"),
         (["asympt", "--family", "cc", "--offset", "2", "--k-max", str(MAX_WIDTH + 1)], f"--k-max {MAX_WIDTH + 1} is over the limit"),
         (["asympt", "--family", "plateau", "--offset", str(MAX_WIDTH)], "is over the limit"),
+        (["count", "--family", "cc", "-k", "1200", "-n", "1200", "--method", "oracle"], f"-k 1200 is over the limit of {MAX_WIDTH}"),
+        (["count", "--family", "dplateau", "-k", "2", "-m", str(MAX_SIZE + 1), "--method", "oracle"], f"-m {MAX_SIZE + 1} is over the limit"),
     ],
 )
 def test_arguments_over_their_limit_exit_2(capsys, argv, named):
@@ -345,7 +368,15 @@ def test_arguments_over_their_limit_exit_2(capsys, argv, named):
     assert named in err
 
 
-def test_oracle_count_has_no_width_limit(capsys):
-    # the oracle allocates nothing per width or size beyond its search stack
-    code, out, _ = run_cli(capsys, "count", "--family", "cc", "-k", str(MAX_WIDTH + 1), "-n", "5", "--method", "oracle")
-    assert (code, out) == (0, "0\n")
+@pytest.mark.parametrize("family", ROUTES)
+def test_oracle_runs_at_the_width_cap(tmp_path, capsys, family):
+    # one object at the widest width and its minimal size: a DFS as deep as
+    # the cap allows, counted and dumped
+    size_flag, size = ("-n", MAX_WIDTH) if family in AREA_FAMILIES else ("-m", 2 * MAX_WIDTH)
+    path = tmp_path / "objects.txt"
+    code, out, _ = run_cli(
+        capsys, "count", "--family", family, "-k", str(MAX_WIDTH), size_flag, str(size),
+        "--method", "oracle", "--dump", str(path),
+    )
+    assert (code, out) == (0, "1\n")
+    assert len(path.read_text().splitlines()) == 1

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polylat import oracle
 from polylat.counting import count_cc, count_dcc, r_gf, s_closed
 from polylat.oracle import (
     ColumnConvexPoly,
     PlateauPolycube,
-    _cc_is_directed,
     _count_columns,
     _count_strata,
     _first_columns,
@@ -129,26 +129,32 @@ def test_counting_parts_match_literal_parts():
     # every first-column / first-stratum part on its own, and their sum
     for k in range(1, 5):
         for n in range(k, 10):
-            for accept in (None, _cc_is_directed):
-                firsts = _first_columns(k, n)
-                parts = [_count_columns(k, n, [first], accept=accept) for first in firsts]
-                literal = [
-                    sum(1 for cols in _iter_columns(k, n, [first]) if accept is None or accept(cols))
-                    for first in firsts
-                ]
-                assert parts == literal
-                assert sum(parts) == _count_columns(k, n, accept=accept)
+            firsts = _first_columns(k, n)
+            parts = [_count_columns(k, n, [first]) for first in firsts]
+            assert parts == [sum(1 for _ in _iter_columns(k, n, [first])) for first in firsts]
+            assert sum(parts) == _count_columns(k, n)
     for k in range(1, 4):
         for m in range(2 * k, 11):
-            for accept in (None, _plateau_is_directed):
-                firsts = _first_strata(k, m)
-                parts = [_count_strata(k, m, [first], accept=accept) for first in firsts]
-                literal = [
-                    sum(1 for plats in _iter_strata(k, m, [first]) if accept is None or accept(plats))
-                    for first in firsts
-                ]
-                assert parts == literal
-                assert sum(parts) == _count_strata(k, m, accept=accept)
+            firsts = _first_strata(k, m)
+            parts = [_count_strata(k, m, [first]) for first in firsts]
+            assert parts == [sum(1 for _ in _iter_strata(k, m, [first])) for first in firsts]
+            assert sum(parts) == _count_strata(k, m)
+
+
+def test_iterator_order_is_pinned():
+    # the dump order: by height (strata: by h + d, then h), then by offset
+    # (strata: y0, then z0), from the first slice on
+    assert list(_iter_columns(2, 3)) == [((0, 1), (-1, 2)), ((0, 1), (0, 2)), ((0, 2), (0, 1)), ((0, 2), (1, 1))]
+    assert list(_iter_strata(2, 5)) == [
+        ((0, 1, 0, 1), (0, 1, -1, 2)),
+        ((0, 1, 0, 1), (0, 1, 0, 2)),
+        ((0, 1, 0, 1), (-1, 2, 0, 1)),
+        ((0, 1, 0, 1), (0, 2, 0, 1)),
+        ((0, 1, 0, 2), (0, 1, 0, 1)),
+        ((0, 1, 0, 2), (0, 1, 1, 1)),
+        ((0, 2, 0, 1), (0, 1, 0, 1)),
+        ((0, 2, 0, 1), (1, 1, 0, 1)),
+    ]
 
 
 def test_iter_objects_are_distinct_and_sized():
@@ -158,6 +164,17 @@ def test_iter_objects_are_distinct_and_sized():
         assert p.lateral_area == 8
         seen.add(p)
     assert len(seen) == enum_plateau(3, 8)
+
+
+def test_single_first_slice_starts_no_pool(monkeypatch):
+    # k = 1 (one first column) and m = 2k (one first stratum) run serially
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    assert _first_columns(1, 7) == [(0, 7)] and _first_strata(2, 4) == [(0, 1, 0, 1)]
+    assert enum_cc(1, 7, workers=2) == enum_dcc(1, 7, workers=2) == 1
+    assert enum_plateau(2, 4, workers=2) == enum_dplateau(2, 4, workers=2) == 1
 
 
 def test_workers_partitioning_matches_serial():
