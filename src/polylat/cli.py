@@ -11,8 +11,9 @@ Subcommands:
 Exit codes: 0 on success (verification discrepancies with published values
 do not fail a run), 1 when a verification check fails or a --dump writes
 a different number of objects than the oracle counted, 2 on usage errors,
-including a width, size, term count, table or worker count over its limit
-(the width and size caps hold for every count route, the oracle included).
+including a negative count size and a width, size, term count, table or
+worker count over its limit (the width and size caps hold for every count
+route, the oracle included).
 All output is deterministic; counts are printed in full decimal.
 """
 from __future__ import annotations
@@ -76,6 +77,8 @@ def cmd_count(args, parser) -> int:
     if args.dump and method != "oracle":
         return _usage_error(parser, "--dump requires --method oracle")
     size_flag = "-n" if args.n is not None else "-m"
+    if size < 0:
+        return _usage_error(parser, f"{size_flag} must be >= 0, got {size}")
     message = _over_limit(("-k", args.k, MAX_WIDTH), (size_flag, size, MAX_SIZE))
     if message:
         return _usage_error(parser, message)

@@ -15,19 +15,24 @@ over a successor rule per slice kind (_next_columns, _next_strata). The
 enum_cc and enum_plateau counts walk the same search tree by plain
 recursion without yielding: they visit every offset of every
 column/stratum but the last, whose overlap-feasible offsets they count by
-arithmetic. enum_dcc and enum_dplateau count the tuples of that one DFS
-which pass the reachability check.
+arithmetic.
 
 Directedness is decided by literal reachability search: North/East unit
 steps in 2D from the bottom cell of the leftmost column, and
 East/North/Ahead unit steps in 3D from the minimal corner of the first
-stratum.
+stratum. iter_dcc, iter_dplateau and is_directed() run that search over
+the whole object. enum_dcc and enum_dplateau run it one slice at a time
+along the same DFS (_count_reachable): no step decreases x, so a slice
+can be reached only from the slices to its left. The first slice is
+searched from the root, each later one from the East step of the previous
+slice's cells, and a prefix is dropped as soon as one of its slices is not
+fully reached.
 
-One rule per family (_first_columns, _first_strata) lists the normalized
-first slices an object can start with, in DFS order. The iterators and the
-counting DFS loop over it, and with workers > 1 and more than one first
-slice each first slice is one process-pool task whose counts are summed,
-independent of the partition.
+One rule per family (_first_columns, _first_strata) generates the
+normalized first slices an object can start with, in DFS order. The
+iterators and the counting DFS loop over it, and with workers > 1 and more
+than one first slice each first slice is one process-pool task whose
+counts are summed, independent of the partition.
 """
 from __future__ import annotations
 
@@ -35,6 +40,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from typing import Iterator
 
 Column = tuple[int, int]
@@ -159,28 +165,30 @@ def _plateau_is_directed(plats: tuple[Stratum, ...]) -> bool:
     return len(seen) == len(cells)
 
 
-def _first_columns(k: int, n: int) -> list[Column]:
+def _first_columns(k: int, n: int) -> Iterator[Column]:
     """The normalized first columns (0, h) of the width-k column tuples of
     area n, in DFS order: every height that leaves each later column one
-    cell, the whole area for a single column. Empty when n < k."""
+    cell, the whole area for a single column. Empty when n < k. The width
+    is checked at the call, the columns are generated on demand."""
     if k < 1:
         raise ValueError(f"width must be >= 1, got {k}")
     if n < k:
-        return []
+        return iter(())
     h_min = n if k == 1 else 1
-    return [(0, h) for h in range(h_min, n - k + 2)]
+    return ((0, h) for h in range(h_min, n - k + 2))
 
 
-def _first_strata(k: int, m: int) -> list[Stratum]:
+def _first_strata(k: int, m: int) -> Iterator[Stratum]:
     """The normalized first strata (0, h, 0, d) of the width-k stratum
     tuples of lateral area m, in DFS order (by h + d, then h): each later
-    stratum needs h + d >= 2, a single one takes it all. Empty when m < 2k."""
+    stratum needs h + d >= 2, a single one takes it all. Empty when m < 2k.
+    The width is checked at the call, the strata are generated on demand."""
     if k < 1:
         raise ValueError(f"width must be >= 1, got {k}")
     if m < 2 * k:
-        return []
+        return iter(())
     s_min = m if k == 1 else 2
-    return [(0, h, 0, s - h) for s in range(s_min, m - 2 * (k - 1) + 1) for h in range(1, s)]
+    return ((0, h, 0, s - h) for s in range(s_min, m - 2 * (k - 1) + 1) for h in range(1, s))
 
 
 def _next_columns(prev: Column, cols_left: int, area_left: int) -> Iterator[tuple[Column, int]]:
@@ -287,9 +295,67 @@ def _count_strata(k: int, m: int, firsts: list[Stratum] | None = None) -> int:
     return sum(rec(y, h, z, d, k - 1, m - h - d) for y, h, z, d in firsts)
 
 
-def _count_directed(iterate, is_directed, k: int, size: int, firsts: list | None = None) -> int:
-    """How many tuples iterate(k, size, firsts) yields that pass is_directed."""
-    return sum(map(is_directed, iterate(k, size, firsts)))
+def _slice_steps(s: tuple) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The cells of one slice without their x, (y,) per column (b, h) and
+    (y, z) per stratum (y0, h, z0, d), each with the cells of the slice one
+    unit step up an axis from it: North in 2D, North or Ahead in 3D. Each
+    (offset, extent) pair of the slice spans one axis."""
+    cells = set(product(*(range(lo, lo + ext) for lo, ext in zip(s[::2], s[1::2]))))
+    return {
+        cell: [
+            nxt
+            for nxt in (cell[:axis] + (cell[axis] + 1,) + cell[axis + 1:] for axis in range(len(cell)))
+            if nxt in cells
+        ]
+        for cell in cells
+    }
+
+
+def _slice_reached(steps: dict, seeds) -> bool:
+    """Whether the unit steps of steps, from the seeds, reach every cell of
+    the slice."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        for nxt in steps[frontier.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == len(steps)
+
+
+def _count_reachable(first_slices, successors, k: int, size: int, firsts: list | None = None) -> int:
+    """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
+    yields that are directed, by the same reachability search staged slice
+    by slice. No East, North or Ahead step decreases x, so the cells of a
+    slice can be reached only from the slices to its left: the first slice
+    is searched from its minimal cell (the root), each later one from the
+    East step of the previous slice's cells, and a prefix is dropped as
+    soon as one of its slices is not fully reached."""
+    known: dict[tuple, dict] = {}  # slice -> _slice_steps(slice), built once per call
+
+    def steps_of(s: tuple) -> dict:
+        steps = known.get(s)
+        if steps is None:
+            steps = known[s] = _slice_steps(s)
+        return steps
+
+    def rec(prev_steps: dict, prev: tuple, slices_left: int, size_left: int) -> int:
+        if slices_left == 0:
+            return 1
+        total = 0
+        for nxt, used in successors(prev, slices_left, size_left):
+            steps = steps_of(nxt)
+            if _slice_reached(steps, steps.keys() & prev_steps.keys()):
+                total += rec(steps, nxt, slices_left - 1, size_left - used)
+        return total
+
+    total = 0
+    for first in first_slices(k, size) if firsts is None else firsts:
+        steps = steps_of(first)
+        if _slice_reached(steps, [first[::2]]):
+            total += rec(steps, first, k - 1, size - sum(first[1::2]))
+    return total
 
 
 def iter_cc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
@@ -321,8 +387,9 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
 def _enum(count, firsts, k: int, size: int, workers: int) -> int:
     """count(k, size), or with workers > 1 and more than one first slice in
     firsts(k, size) the sum of count(k, size, [first]) over them, one task
-    each, mapped over a pool of at most that many processes."""
-    chunks = firsts(k, size) if workers > 1 else []
+    each, mapped over a pool of at most that many processes. Only the pool
+    lists the first slices."""
+    chunks = list(firsts(k, size)) if workers > 1 else []
     if len(chunks) < 2:
         return count(k, size)
     with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
@@ -338,9 +405,9 @@ def enum_cc(k: int, n: int, workers: int = 1) -> int:
 
 def enum_dcc(k: int, n: int, workers: int = 1) -> int:
     """Count of directed column-convex polyominoes with k columns and
-    area n: the column tuples of _iter_columns that pass the reachability
-    check. 0 when n < k."""
-    return _enum(partial(_count_directed, _iter_columns, _cc_is_directed), _first_columns, k, n, workers)
+    area n: the column tuples of _iter_columns whose every cell the
+    slice-staged search reaches. 0 when n < k."""
+    return _enum(partial(_count_reachable, _first_columns, _next_columns), _first_columns, k, n, workers)
 
 
 def enum_plateau(k: int, m: int, workers: int = 1) -> int:
@@ -352,9 +419,9 @@ def enum_plateau(k: int, m: int, workers: int = 1) -> int:
 
 def enum_dplateau(k: int, m: int, workers: int = 1) -> int:
     """Count of directed plateau polycubes with k strata and lateral area m:
-    the stratum tuples of _iter_strata that pass the reachability check.
-    0 when m < 2k."""
-    return _enum(partial(_count_directed, _iter_strata, _plateau_is_directed), _first_strata, k, m, workers)
+    the stratum tuples of _iter_strata whose every cell the slice-staged
+    search reaches. 0 when m < 2k."""
+    return _enum(partial(_count_reachable, _first_strata, _next_strata), _first_strata, k, m, workers)
 
 
 def project(p: PlateauPolycube) -> tuple[ColumnConvexPoly, ColumnConvexPoly]:

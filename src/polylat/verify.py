@@ -31,7 +31,7 @@ from .combinatorics import (
     tribonacci_triangle,
     vandermonde_variant,
 )
-from .counting import alpha_lemma, build_table, count_cc, r_conv, r_gf
+from .counting import alpha_lemma, build_table, count_cc, count_dcc, r_conv, r_gf, s_closed
 from .reference_tables import (
     CC_TABLE,
     PLATEAU_ROWS,
@@ -153,11 +153,34 @@ def suite_lemma41() -> RunReport:
     return report
 
 
+def _add_oracle_checks(report: RunReport, prefix: str, enum, formula, sizes, widths) -> None:
+    """One record per size: the oracle count enum(k, size) against
+    formula(k, size) at every width whose known count is within
+    ORACLE_COUNT_BUDGET."""
+    for size in sizes:
+        confirmed, skipped = [], []
+        agreed = True
+        for k in widths:
+            expected = formula(k, size)
+            if expected > ORACLE_COUNT_BUDGET:
+                skipped.append(k)
+                continue
+            if enum(k, size) != expected:
+                agreed = False
+            confirmed.append(k)
+        # the skipped widths are known before the oracle runs: part of the
+        # check's scope, so they are stated in both strings
+        scope = f"agreement for k in {confirmed}" + (f" (skipped k in {skipped})" if skipped else "")
+        report.add(f"{prefix}{size}", scope, scope if agreed else "oracle disagreement")
+
+
 def suite_tables() -> RunReport:
     """Both published tables against regeneration, plus cross-method
     agreement (generating function vs convolution vs, where feasible, the
     geometric oracle) over the full regenerated range. Widths and sizes
-    are those the published tables print."""
+    are those the published tables print. The directed families, which the
+    paper prints no table of, are checked against the oracle for k <= 4 and
+    sizes <= 10."""
     report = RunReport("tables")
 
     cc = build_table("cc", len(CC_TABLE[0]), len(CC_TABLE))
@@ -189,21 +212,9 @@ def suite_tables() -> RunReport:
         ok = all(r_conv(k, m) == r_gf(k, m) for m in range(2, max_m + 1))
         report.add(f"plateau-gf-vs-conv-k{k}", True, ok)
 
-    for m in range(2, ORACLE_SIZE_LIMIT + 1):
-        confirmed, skipped = [], []
-        agreed = True
-        for k in widths:
-            expected = r_gf(k, m)
-            if expected > ORACLE_COUNT_BUDGET:
-                skipped.append(k)
-                continue
-            if oracle.enum_plateau(k, m) != expected:
-                agreed = False
-            confirmed.append(k)
-        # the skipped widths are known before the oracle runs: part of the
-        # check's scope, so they are stated in both strings
-        scope = f"agreement for k in {confirmed}" + (f" (skipped k in {skipped})" if skipped else "")
-        report.add(f"plateau-oracle-m{m}", scope, scope if agreed else "oracle disagreement")
+    _add_oracle_checks(report, "plateau-oracle-m", oracle.enum_plateau, r_gf, range(2, ORACLE_SIZE_LIMIT + 1), widths)
+    _add_oracle_checks(report, "dcc-oracle-n", oracle.enum_dcc, count_dcc, range(1, 11), range(1, 5))
+    _add_oracle_checks(report, "dplateau-oracle-m", oracle.enum_dplateau, s_closed, range(2, 11), range(1, 5))
     return report
 
 

@@ -360,12 +360,26 @@ def test_gf_golden_digest(capsys, which):
         (["asympt", "--family", "plateau", "--offset", str(MAX_WIDTH)], "is over the limit"),
         (["count", "--family", "cc", "-k", "1200", "-n", "1200", "--method", "oracle"], f"-k 1200 is over the limit of {MAX_WIDTH}"),
         (["count", "--family", "dplateau", "-k", "2", "-m", str(MAX_SIZE + 1), "--method", "oracle"], f"-m {MAX_SIZE + 1} is over the limit"),
+        (["count", "--family", "dcc", "-k", "2", "-n", "-5", "--method", "oracle"], "-n must be >= 0, got -5"),
+        (["count", "--family", "plateau", "-k", "2", "-m", "-1"], "-m must be >= 0, got -1"),
     ],
 )
 def test_arguments_over_their_limit_exit_2(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert named in err
+
+
+@pytest.mark.parametrize("family", ROUTES)
+def test_count_size_below_zero_exits_2_on_every_route(capsys, family):
+    # size 0 is below every family's support, a valid count of 0
+    size_flag = "-n" if family in AREA_FAMILIES else "-m"
+    for route in ROUTES[family]:
+        argv = ["count", "--family", family, "-k", "2", "--method", route]
+        code, out, err = run_cli(capsys, *argv, size_flag, "-5")
+        assert (code, out) == (2, ""), route
+        assert f"{size_flag} must be >= 0, got -5" in err
+        assert run_cli(capsys, *argv, size_flag, "0") == (0, "0\n", ""), route
 
 
 @pytest.mark.parametrize("family", ROUTES)

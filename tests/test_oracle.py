@@ -1,6 +1,7 @@
 """Geometric brute force: object validity, agreement with the formula
 routes, projections, directedness, and the dump format."""
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from polylat.counting import count_cc, count_dcc, r_gf, s_closed
 from polylat.oracle import (
     ColumnConvexPoly,
     PlateauPolycube,
+    _cc_is_directed,
     _count_columns,
     _count_strata,
     _first_columns,
@@ -129,13 +131,13 @@ def test_counting_parts_match_literal_parts():
     # every first-column / first-stratum part on its own, and their sum
     for k in range(1, 5):
         for n in range(k, 10):
-            firsts = _first_columns(k, n)
+            firsts = list(_first_columns(k, n))
             parts = [_count_columns(k, n, [first]) for first in firsts]
             assert parts == [sum(1 for _ in _iter_columns(k, n, [first])) for first in firsts]
             assert sum(parts) == _count_columns(k, n)
     for k in range(1, 4):
         for m in range(2 * k, 11):
-            firsts = _first_strata(k, m)
+            firsts = list(_first_strata(k, m))
             parts = [_count_strata(k, m, [first]) for first in firsts]
             assert parts == [sum(1 for _ in _iter_strata(k, m, [first])) for first in firsts]
             assert sum(parts) == _count_strata(k, m)
@@ -172,9 +174,25 @@ def test_single_first_slice_starts_no_pool(monkeypatch):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
-    assert _first_columns(1, 7) == [(0, 7)] and _first_strata(2, 4) == [(0, 1, 0, 1)]
+    assert list(_first_columns(1, 7)) == [(0, 7)] and list(_first_strata(2, 4)) == [(0, 1, 0, 1)]
     assert enum_cc(1, 7, workers=2) == enum_dcc(1, 7, workers=2) == 1
     assert enum_plateau(2, 4, workers=2) == enum_dplateau(2, 4, workers=2) == 1
+
+
+def test_first_slices_are_generated_on_demand():
+    # 49,975,003 first strata at (2, 10000): taking one must not build them all
+    with pytest.raises(ValueError):
+        _first_strata(0, 10_000)  # the width is checked before any is taken
+    with pytest.raises(ValueError):
+        _first_columns(0, 10_000)
+    tracemalloc.start()
+    try:
+        assert next(_first_strata(2, 10_000)) == (0, 1, 0, 1)
+        assert next(_first_columns(2, 10_000)) == (0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_workers_partitioning_matches_serial():
@@ -263,28 +281,46 @@ def test_directedness_3d_matches_monotone_offsets():
                 assert p.is_directed() == monotone
 
 
-def test_directedness_3d_matches_search_from_every_root():
-    # the minimal-corner search against a reachability tried from every
-    # first-stratum cell, directed when any root reaches all cells
-    def directed_from_some_root(p):
-        cells = p.cells()
-        y0, h, z0, d = p.plateaus[0]
-        for root in ((0, y, z) for y in range(y0, y0 + h) for z in range(z0, z0 + d)):
-            seen, frontier = {root}, [root]
-            while frontier:
-                x, y, z = frontier.pop()
-                for nxt in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
-                    if nxt in cells and nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            if seen == cells:
-                return True
-        return False
+def directed_from_some_root(p):
+    """East/North/Ahead reachability tried from every first-stratum cell:
+    directed when any root reaches all cells."""
+    cells = p.cells()
+    y0, h, z0, d = p.plateaus[0]
+    for root in ((0, y, z) for y in range(y0, y0 + h) for z in range(z0, z0 + d)):
+        seen, frontier = {root}, [root]
+        while frontier:
+            x, y, z = frontier.pop()
+            for nxt in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
+                if nxt in cells and nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        if seen == cells:
+            return True
+    return False
 
+
+def test_directedness_3d_matches_search_from_every_root():
+    # the minimal-corner search against every root
     for k in range(1, 4):
         for m in range(2 * k, 11):
             for p in iter_plateau(k, m):
                 assert _plateau_is_directed(p.plateaus) == directed_from_some_root(p)
+
+
+def test_staged_count_matches_whole_object_filter():
+    # the slice-staged search against the whole-object BFS on every tuple
+    for k in range(1, 6):
+        for n in range(13):
+            assert enum_dcc(k, n) == sum(map(_cc_is_directed, _iter_columns(k, n))), (k, n)
+    for k in range(1, 5):
+        for m in range(13):
+            assert enum_dplateau(k, m) == sum(map(_plateau_is_directed, _iter_strata(k, m))), (k, m)
+
+
+def test_staged_count_matches_search_from_every_root():
+    for k in range(1, 4):
+        for m in range(10):
+            assert enum_dplateau(k, m) == sum(map(directed_from_some_root, iter_plateau(k, m))), (k, m)
 
 
 def test_directedness_transfers_through_projection():

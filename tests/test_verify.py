@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from polylat import verify
+from polylat import oracle, verify
+from polylat.counting import count_dcc
 from polylat.verify import (
     FAIL,
     PAPER_DISCREPANCY,
@@ -129,6 +130,27 @@ def test_oracle_records_state_skipped_widths_in_both_strings(monkeypatch):
     skipping = [c for c in oracle_checks if "skipped" in c.expected]
     assert len(skipping) == 7  # lateral areas 10..16
     assert all(c.actual == c.expected and c.status == PASS for c in oracle_checks)
+
+
+def test_directed_oracle_records(all_report):
+    by_id = {c.id: c for c in all_report.checks}
+    scope = "agreement for k in [1, 2, 3, 4]"
+    ids = [f"dcc-oracle-n{n}" for n in range(1, 11)] + [f"dplateau-oracle-m{m}" for m in range(2, 11)]
+    for check_id in ids:
+        assert (by_id[check_id].expected, by_id[check_id].actual, by_id[check_id].status) == (scope, scope, PASS)
+
+
+def test_oracle_disagreement_fails_its_record():
+    def off_at_k3_n7(k, n):
+        return oracle.enum_dcc(k, n) + ((k, n) == (3, 7))
+
+    report = RunReport("demo")
+    verify._add_oracle_checks(report, "dcc-oracle-n", off_at_k3_n7, count_dcc, range(6, 9), range(1, 5))
+    assert [(c.id, c.actual, c.status) for c in report.checks] == [
+        ("dcc-oracle-n6", "agreement for k in [1, 2, 3, 4]", PASS),
+        ("dcc-oracle-n7", "oracle disagreement", FAIL),
+        ("dcc-oracle-n8", "agreement for k in [1, 2, 3, 4]", PASS),
+    ]
 
 
 def test_report_mismatch_status():
