@@ -11,9 +11,9 @@ Subcommands:
 Exit codes: 0 on success (verification discrepancies with published values
 do not fail a run), 1 when a verification check fails or a --dump writes
 a different number of objects than the oracle counted, 2 on usage errors,
-including a negative count size and a width, size, term count, table or
-worker count over its limit (the width and size caps hold for every count
-route, the oracle included).
+including a negative count size, a --dump path that cannot be written, and
+a width, size, term count, table or worker count over its limit (the width
+and size caps hold for every count route, the oracle included).
 All output is deterministic; counts are printed in full decimal.
 """
 from __future__ import annotations
@@ -91,8 +91,11 @@ def cmd_count(args, parser) -> int:
         return _usage_error(parser, str(exc))
     dumped = None
     if args.dump:
-        with open(args.dump, "w", encoding="utf-8") as stream:
-            dumped = oracle.dump_objects(family, args.k, size, stream)
+        try:
+            with open(args.dump, "w", encoding="utf-8") as stream:
+                dumped = oracle.dump_objects(family, args.k, size, stream)
+        except OSError as exc:
+            return _usage_error(parser, f"cannot write --dump {args.dump}: {exc.strerror or exc}")
     if args.json:
         print(json.dumps({"family": family, "k": args.k, "size": size, "method": method, "value": value}))
     else:

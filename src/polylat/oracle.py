@@ -14,8 +14,10 @@ suite) build and yield every object literally, by one DFS (_iter_slices)
 over a successor rule per slice kind (_next_columns, _next_strata). The
 enum_cc and enum_plateau counts walk the same search tree by plain
 recursion without yielding: they visit every offset of every
-column/stratum but the last, whose overlap-feasible offsets they count by
-arithmetic.
+column/stratum but the last two, whose overlap-feasible offsets they count
+by arithmetic: the last slice's count does not read the offset of the one
+before it. Earlier slices are placed at every offset; summing them by
+extents alone would be the transfer-matrix recurrence, not a search.
 
 Directedness is decided by literal reachability search: North/East unit
 steps in 2D from the bottom cell of the leftmost column, and
@@ -249,15 +251,19 @@ _iter_strata = partial(_iter_slices, _first_strata, _next_strata)
 
 def _count_columns(k: int, n: int, firsts: list[Column] | None = None) -> int:
     """How many tuples _iter_columns(k, n, firsts) yields, by the same DFS
-    returning counts instead of yielding. The last column's overlap-feasible
-    bottoms are counted, not visited: a column of height h under one
-    (pb, ph) has ph + h - 1 of them."""
+    returning counts instead of yielding. The last two columns' bottoms are
+    counted, not visited: a column of height h under (pb, ph) has
+    ph + h - 1 overlap-feasible bottoms, whatever pb is. Earlier columns are
+    placed at every bottom, so the count stays a search, independent of a
+    transfer-matrix recurrence over extents."""
 
     def rec(pb: int, ph: int, cols_left: int, area_left: int) -> int:
         if cols_left == 0:
             return 1
         if cols_left == 1:
             return ph + area_left - 1
+        if cols_left == 2:  # a last column under height h has h + (area_left - h) - 1 bottoms
+            return sum((ph + h - 1) * (area_left - 1) for h in range(1, area_left))
         total = 0
         for h in range(1, area_left - (cols_left - 1) + 1):
             for b in range(pb - h + 1, pb + ph):
@@ -270,18 +276,23 @@ def _count_columns(k: int, n: int, firsts: list[Column] | None = None) -> int:
 
 def _count_strata(k: int, m: int, firsts: list[Stratum] | None = None) -> int:
     """How many tuples _iter_strata(k, m, firsts) yields, by the same DFS
-    returning counts instead of yielding. The last stratum's overlap-feasible
-    offsets are counted, not visited: a stratum (h, d) under one
-    (py, ph, pz, pd) has (ph + h - 1) * (pd + d - 1) of them."""
+    returning counts instead of yielding. The last two strata's offsets are
+    counted, not visited: a stratum (h, d) under (py, ph, pz, pd) has
+    (ph + h - 1) * (pd + d - 1) overlap-feasible offsets, and last() does
+    not read py or pz. Earlier strata are placed at every offset, so the
+    count stays a search, independent of a transfer-matrix recurrence."""
+
+    def last(ph: int, pd: int, area_left: int) -> int:
+        return sum((ph + h - 1) * (pd + area_left - h - 1) for h in range(1, area_left))
 
     def rec(py: int, ph: int, pz: int, pd: int, cols_left: int, area_left: int) -> int:
         if cols_left == 0:
             return 1
         if cols_left == 1:
-            total = 0
-            for h in range(1, area_left):
-                total += (ph + h - 1) * (pd + area_left - h - 1)
-            return total
+            return last(ph, pd, area_left)
+        if cols_left == 2:
+            return sum((ph + h - 1) * (pd + s - h - 1) * last(h, s - h, area_left - s)
+                       for s in range(2, area_left - 1) for h in range(1, s))
         total = 0
         for s in range(2, area_left - 2 * (cols_left - 1) + 1):
             for h in range(1, s):
@@ -398,7 +409,7 @@ def _enum(count, firsts, k: int, size: int, workers: int) -> int:
 
 def enum_cc(k: int, n: int, workers: int = 1) -> int:
     """Count of column-convex polyominoes with k columns and area n, by
-    exhaustive search with the last column's bottoms counted by
+    exhaustive search with the last two columns' bottoms counted by
     arithmetic. 0 when n < k."""
     return _enum(_count_columns, _first_columns, k, n, workers)
 
@@ -412,7 +423,7 @@ def enum_dcc(k: int, n: int, workers: int = 1) -> int:
 
 def enum_plateau(k: int, m: int, workers: int = 1) -> int:
     """Count of plateau polycubes with k strata and lateral area m, by
-    exhaustive search with the last stratum's offsets counted by
+    exhaustive search with the last two strata's offsets counted by
     arithmetic. 0 when m < 2k."""
     return _enum(_count_strata, _first_strata, k, m, workers)
 

@@ -114,6 +114,18 @@ def test_count_dump_disagreeing_with_count_fails(tmp_path, capsys, monkeypatch):
     assert len(path.read_text().splitlines()) == 8
 
 
+def test_count_dump_to_unwritable_path_exits_2(tmp_path, capsys):
+    # a missing directory and a directory are usage errors, not tracebacks
+    for path in (tmp_path / "missing" / "x.txt", tmp_path):
+        code, out, err = run_cli(
+            capsys, "count", "--family", "cc", "-k", "2", "-n", "4", "--method", "oracle", "--dump", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --dump {path}: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_table_md(capsys):
     code, out, _ = run_cli(capsys, "table", "--family", "cc", "--k-max", "10", "--size-max", "10")
     assert code == 0

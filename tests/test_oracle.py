@@ -4,7 +4,7 @@ import io
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polylat import oracle
@@ -116,7 +116,13 @@ def test_enum_agrees_with_formulas_small():
 
 
 def test_iter_counts_match_enum():
-    # the enum_* counting DFS against the literal generators
+    # the enum_* counting DFS against the literal generators; at k = 4 the
+    # arithmetic next-to-last slice follows a placed prefix of two slices
+    for k in range(1, 5):
+        for n in range(1, 13):
+            assert sum(1 for _ in _iter_columns(k, n)) == enum_cc(k, n)
+        for m in range(2, 13):
+            assert sum(1 for _ in _iter_strata(k, m)) == enum_plateau(k, m)
     for k in range(1, 5):
         for n in range(1, 11):
             assert sum(1 for _ in iter_cc(k, n)) == enum_cc(k, n)
@@ -130,17 +136,29 @@ def test_iter_counts_match_enum():
 def test_counting_parts_match_literal_parts():
     # every first-column / first-stratum part on its own, and their sum
     for k in range(1, 5):
-        for n in range(k, 10):
+        for n in range(k, 13):
             firsts = list(_first_columns(k, n))
             parts = [_count_columns(k, n, [first]) for first in firsts]
             assert parts == [sum(1 for _ in _iter_columns(k, n, [first])) for first in firsts]
             assert sum(parts) == _count_columns(k, n)
-    for k in range(1, 4):
-        for m in range(2 * k, 11):
+    for k in range(1, 5):
+        for m in range(2 * k, 13):
             firsts = list(_first_strata(k, m))
             parts = [_count_strata(k, m, [first]) for first in firsts]
             assert parts == [sum(1 for _ in _iter_strata(k, m, [first])) for first in firsts]
             assert sum(parts) == _count_strata(k, m)
+
+
+@settings(deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), size=st.integers(2, 12))
+def test_counting_part_matches_literal_part_at_random_first_slice(data, k, size):
+    # one first slice, then the placed and the arithmetic levels below it
+    if size >= k:
+        first = data.draw(st.sampled_from(list(_first_columns(k, size))))
+        assert _count_columns(k, size, [first]) == sum(1 for _ in _iter_columns(k, size, [first]))
+    if size >= 2 * k:
+        first = data.draw(st.sampled_from(list(_first_strata(k, size))))
+        assert _count_strata(k, size, [first]) == sum(1 for _ in _iter_strata(k, size, [first]))
 
 
 def test_iterator_order_is_pinned():
