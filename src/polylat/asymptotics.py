@@ -1,15 +1,16 @@
 """Exact polynomial fits of the near-minimal-size counts.
 
 For fixed offset i, the column-convex count at area k+i and the plateau
-count at lateral area 2k+i are each polynomial in the width k (of degree i,
-with leading coefficients 4^i/i! and 8^i/i! respectively) once k is large
-enough. This module realizes those claims at desk scale: it interpolates
-exact table values with rational Newton divided differences (never least
+count at lateral area 2k+i (size SIZE_UNIT[family]*k + i) are each
+polynomial in the width k, of degree i, once k is large enough; their
+published polynomials and leading coefficients are in reference_tables.
+This module realizes those claims at desk scale: it interpolates exact
+table values with rational Newton divided differences (never least
 squares - any residual must surface, not be averaged away), checks the
 consistency of surplus sample points, and compares fits against the
 published polynomials.
 
-Every published polynomial holds for k >= offset + 1 and all sampling
+Every published polynomial holds from k = published_min_k and all sampling
 starts there. (The general plateau degree claim is printed for k >= offset,
 but the polynomial provably fails at k = offset: the width-2 count at
 lateral area 6 is 34 while the offset-2 polynomial gives 36. Sampling from
@@ -19,10 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial
 
-from .counting import count_cc, r_gf
-from .reference_tables import published_min_k, published_polynomial
+from .counting import ROUTES, SIZE_UNIT
+from .reference_tables import COROLLARY_OFFSETS, FITTED_FAMILIES, LEADING_BASE
+from .reference_tables import check_fitted_family, published_min_k, published_polynomial
+
+# Samples beyond the offset + 2 of an over-determined degree-offset fit, in
+# fit_published and in the asympt command's default width range.
+SURPLUS_POINTS = 5
 
 
 class FitError(ValueError):
@@ -73,7 +80,7 @@ class RatPoly:
         return format_poly(self)
 
 
-def format_poly(poly: RatPoly, var: str = "k") -> str:
+def format_poly(poly: RatPoly) -> str:
     """Human form, descending powers: '8k^2 - 19k + 16'. Fractional
     coefficients are parenthesized: '(32/3)k^3'."""
     if not poly.coeffs:
@@ -92,7 +99,7 @@ def format_poly(poly: RatPoly, var: str = "k") -> str:
         if d == 0:
             term = coeff
         else:
-            var_part = var if d == 1 else f"{var}^{d}"
+            var_part = "k" if d == 1 else f"k^{d}"
             term = var_part if coeff == "1" else f"{coeff}{var_part}"
         if not parts:
             parts.append(term if sign == "+" else f"-{term}")
@@ -147,13 +154,11 @@ def interpolate(values, degree: int) -> RatPoly:
 
 
 def sample_value(family: str, offset: int, k: int) -> int:
-    """Regenerated table value at width k: the column-convex count at area
-    k+offset, or the plateau count at lateral area 2k+offset."""
-    if family == "cc":
-        return count_cc(k, k + offset)
-    if family == "plateau":
-        return r_gf(k, 2 * k + offset)
-    raise ValueError(f"family must be 'cc' or 'plateau', got {family!r}")
+    """Regenerated table value at width k: the family's authoritative count
+    at size SIZE_UNIT[family]*k + offset (area k+offset for column-convex,
+    lateral area 2k+offset for plateau)."""
+    counter = next(iter(ROUTES[check_fitted_family(family)].values()))
+    return counter(k, SIZE_UNIT[family] * k + offset)
 
 
 def fit_family(family: str, offset: int, k_min: int, k_count: int) -> RatPoly:
@@ -163,7 +168,7 @@ def fit_family(family: str, offset: int, k_min: int, k_count: int) -> RatPoly:
     k_count must be at least offset + 2 so the fit is over-determined; the
     surplus points make a silent wrong fit impossible. Raises FitError when
     the samples are not a degree-offset polynomial (which happens when
-    sampling starts below k = offset + 1)."""
+    sampling starts below published_min_k)."""
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
     if k_min < 1:
@@ -175,55 +180,44 @@ def fit_family(family: str, offset: int, k_min: int, k_count: int) -> RatPoly:
 
 
 def leading_coeff_expected(family: str, offset: int) -> Fraction:
-    """Expected leading coefficient: 4^offset/offset! for column-convex,
-    8^offset/offset! for plateau."""
+    """Expected leading coefficient: LEADING_BASE[family]^offset/offset!
+    (4^offset/offset! for column-convex, 8^offset/offset! for plateau)."""
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
-    base = {"cc": 4, "plateau": 8}.get(family)
-    if base is None:
-        raise ValueError(f"family must be 'cc' or 'plateau', got {family!r}")
-    return Fraction(base**offset, factorial(offset))
+    return Fraction(LEADING_BASE[check_fitted_family(family)] ** offset, factorial(offset))
 
 
-def fit_published(family: str, offset: int, extra_points: int = 5) -> RatPoly:
-    """Fit from the published minimal k with offset+2+extra_points samples."""
+def fit_published(family: str, offset: int) -> RatPoly:
+    """Fit from the published minimal k with offset+2+SURPLUS_POINTS samples."""
     k_min = published_min_k(family, offset)
-    return fit_family(family, offset, k_min, offset + 2 + extra_points)
+    return fit_family(family, offset, k_min, offset + 2 + SURPLUS_POINTS)
 
 
-def verify_corollaries(max_offset: int = 6) -> list[dict]:
-    """Compare fitted polynomials against every published polynomial with
-    offset 3..max_offset, coefficient by coefficient.
+def verify_corollaries(max_offset: int = COROLLARY_OFFSETS[-1]) -> list[dict]:
+    """Compare fitted polynomials against every published polynomial of
+    COROLLARY_OFFSETS up to max_offset, coefficient by coefficient.
 
     Returns one record per (family, offset) with the per-degree comparison;
     mismatches are report content, not exceptions. Each record restates
     that plateau sizes are read as 2k+offset (the published corollary
     subscripts say k+offset), as confirmed by offset 3, k=4 -> 2152."""
-    if not 3 <= max_offset <= 6:
-        raise ValueError(f"max_offset must be in 3..6, got {max_offset}")
+    if max_offset not in COROLLARY_OFFSETS:
+        raise ValueError(f"max_offset must be in {COROLLARY_OFFSETS[0]}..{COROLLARY_OFFSETS[-1]}, got {max_offset}")
     records = []
-    for family in ("cc", "plateau"):
-        for offset in range(3, max_offset + 1):
+    for family in FITTED_FAMILIES:
+        unit = SIZE_UNIT[family]
+        for offset in COROLLARY_OFFSETS[: COROLLARY_OFFSETS.index(max_offset) + 1]:
             fitted = fit_published(family, offset)
             printed = published_polynomial(family, offset)
-            degree = max(fitted.degree, len(printed) - 1)
-            comparison = []
-            for d in range(degree + 1):
-                fit_c = fitted.coeffs[d] if d <= fitted.degree else Fraction(0)
-                pub_c = printed[d] if d < len(printed) else Fraction(0)
-                comparison.append(
-                    {
-                        "degree": d,
-                        "fitted": str(fit_c),
-                        "published": str(pub_c),
-                        "match": fit_c == pub_c,
-                    }
-                )
+            comparison = [
+                {"degree": d, "fitted": str(fit_c), "published": str(pub_c), "match": fit_c == pub_c}
+                for d, (fit_c, pub_c) in enumerate(zip_longest(fitted.coeffs, printed, fillvalue=Fraction(0)))
+            ]
             records.append(
                 {
                     "family": family,
                     "offset": offset,
-                    "size_parameter": f"k+{offset}" if family == "cc" else f"2k+{offset}",
+                    "size_parameter": f"{unit if unit > 1 else ''}k+{offset}",
                     "k_min": published_min_k(family, offset),
                     "fitted": format_poly(fitted),
                     "coefficients": comparison,

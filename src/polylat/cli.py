@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from . import asymptotics, gfseries, oracle, verify
+from . import asymptotics, gfseries, oracle, reference_tables, verify
 from .counting import FAMILIES, ROUTES, build_table
 from .gfseries import gf_coeffs
 
@@ -178,9 +178,9 @@ def cmd_asympt(args, parser) -> int:
     family, offset = args.family, args.offset
     if offset < 0:
         return _usage_error(parser, "--offset must be >= 0")
-    k_min = offset + 1
+    k_min = reference_tables.published_min_k(family, offset)
     needed = k_min + offset + 2 - 1
-    k_max = args.k_max if args.k_max is not None else k_min + offset + 6
+    k_max = args.k_max if args.k_max is not None else needed + asymptotics.SURPLUS_POINTS
     if k_max < needed:
         return _usage_error(
             parser, f"--k-max {k_max} is too small: a degree-{offset} fit needs samples up to k={needed}"
@@ -197,13 +197,11 @@ def cmd_asympt(args, parser) -> int:
     print(f"degree: {fitted.degree}")
     expected = asymptotics.leading_coeff_expected(family, offset)
     print(f"leading coefficient: {fitted.leading} (expected {expected})")
-    if offset <= 6:
-        from .reference_tables import published_polynomial
-
-        printed = asymptotics.RatPoly(published_polynomial(family, offset))
+    if offset in reference_tables.PUBLISHED_OFFSETS:
+        printed = asymptotics.RatPoly(reference_tables.published_polynomial(family, offset))
         verdict = "match" if printed.coeffs == fitted.coeffs else "MISMATCH"
         print(f"published polynomial: {asymptotics.format_poly(printed)} -> {verdict}")
-        if family == "plateau" and offset >= 3:
+        if family == "plateau" and offset in reference_tables.COROLLARY_OFFSETS:
             print("note: published subscript k+offset read as lateral area 2k+offset")
     else:
         print("published polynomial: none at this offset (fit is an extrapolation)")
@@ -245,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=cmd_verify)
 
     p_asympt = sub.add_parser("asympt", help="fit a width polynomial")
-    p_asympt.add_argument("--family", required=True, choices=("cc", "plateau"))
+    p_asympt.add_argument("--family", required=True, choices=reference_tables.FITTED_FAMILIES)
     p_asympt.add_argument("--offset", type=int, required=True)
     p_asympt.add_argument("--k-max", type=int)
     p_asympt.set_defaults(fn=cmd_asympt)

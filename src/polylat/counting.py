@@ -30,9 +30,6 @@ from .combinatorics import binomial
 from .gfseries import gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width
 from .oracle import enum_cc, enum_dcc, enum_dplateau, enum_plateau
 
-# Families whose size parameter is an area n (2D) vs a lateral area m (3D).
-AREA_FAMILIES = ("dcc", "cc")
-
 
 def _check_width(k: int) -> int:
     if k < 1:
@@ -74,19 +71,12 @@ def alpha_lemma(k: int, u: int) -> int:
     count_cc for real counting; this function exists to document the
     disagreement."""
     _check_width(k)
-    total = 0
-    i = 0
-    while binomial(k - i - 1, i) != 0:
-        j = 0
-        while binomial(2 * k - j - 2, j) != 0:
-            total += (
-                binomial(k - i - 1, i)
-                * binomial(2 * k - j - 2, j)
-                * binomial(k - 2 * i - 1, u - k - i - j)
-            )
-            j += 1
-        i += 1
-    return total
+    # C(k-i-1, i) vanishes for i >= k and C(2k-j-2, j) for j >= 2k-1
+    return sum(
+        binomial(k - i - 1, i) * binomial(2 * k - j - 2, j) * binomial(k - 2 * i - 1, u - k - i - j)
+        for i in range(k)
+        for j in range(2 * k - 1)
+    )
 
 
 _SERIES_CACHE: dict[tuple[str, int], list[int]] = {}
@@ -142,7 +132,7 @@ class FamilyTable:
 
     @property
     def size_min(self) -> int:
-        return 1 if self.family in AREA_FAMILIES else 2
+        return SIZE_UNIT[self.family]
 
     def value(self, k: int, size: int) -> int:
         return self.entries.get((k, size), 0)
@@ -162,6 +152,10 @@ def _dplateau_gf(k: int, m: int) -> int:
     _check_width(k)
     return gf_coeff(gf_S_k(k), m)
 
+
+# The least size of one slice, so a width-k object has size >= SIZE_UNIT * k:
+# a column has area >= 1, a stratum lateral area (height + depth) >= 2.
+SIZE_UNIT = {"dcc": 1, "cc": 1, "dplateau": 2, "plateau": 2}
 
 ROUTES = {
     "dcc": {"closed": count_dcc, "gf": _dcc_gf, "oracle": enum_dcc},

@@ -342,8 +342,9 @@ def _count_reachable(first_slices, successors, k: int, size: int, firsts: list |
     slice can be reached only from the slices to its left: the first slice
     is searched from its minimal cell (the root), each later one from the
     East step of the previous slice's cells, and a prefix is dropped as
-    soon as one of its slices is not fully reached."""
-    known: dict[tuple, dict] = {}  # slice -> _slice_steps(slice), built once per call
+    soon as one of its slices is not fully reached. Each first slice is
+    visited once, so only later slices' steps are kept, once per call."""
+    known: dict[tuple, dict] = {}  # later slice -> _slice_steps(slice)
 
     def steps_of(s: tuple) -> dict:
         steps = known.get(s)
@@ -363,7 +364,7 @@ def _count_reachable(first_slices, successors, k: int, size: int, firsts: list |
 
     total = 0
     for first in first_slices(k, size) if firsts is None else firsts:
-        steps = steps_of(first)
+        steps = _slice_steps(first)
         if _slice_reached(steps, [first[::2]]):
             total += rec(steps, first, k - 1, size - sum(first[1::2]))
     return total

@@ -1,4 +1,5 @@
-"""Published reference values used by the verification suites.
+"""Published reference values used by the verification suites, and the
+published facts about the fitted width polynomials, stated here only.
 
 The tables below are transcribed exactly as printed, including the known
 typographical defects of the plateau table's tail: two row labels repeat
@@ -83,56 +84,72 @@ F = Fraction
 # (plateau), coefficients ascending by degree. Offsets 0..2 come from the
 # special-value theorems, 3..6 from the corollaries. Each polynomial is
 # printed as valid for k >= offset + 1; the plateau subscripts of the
-# offset 3..6 polynomials are printed as k+i but mean 2k+i (confirmed
+# corollary polynomials are printed as k+i but mean 2k+i (confirmed
 # numerically: offset 3 at k=4 gives 2152 = r_{4,11}).
-CC_POLYNOMIAL_BY_OFFSET: dict[int, tuple[Fraction, ...]] = {
-    0: (F(1),),
-    1: (F(-4), F(4)),
-    2: (F(16), F(-19), F(8)),
-    3: (F(-76), F(268, 3), F(-44), F(32, 3)),
-    4: (F(384), F(-2717, 6), F(1403, 6), F(-200, 3), F(32, 3)),
-    5: (F(-2004), F(35522, 15), F(-3784, 3), F(1174, 3), F(-224, 3), F(128, 15)),
-    6: (
-        F(10672),
-        F(-189503, 15),
-        F(617753, 90),
-        F(-13427, 6),
-        F(4292, 9),
-        F(-992, 15),
-        F(256, 45),
-    ),
-}
+PUBLISHED_OFFSETS = range(7)
+COROLLARY_OFFSETS = range(3, 7)
 
-PLATEAU_POLYNOMIAL_BY_OFFSET: dict[int, tuple[Fraction, ...]] = {
-    0: (F(1),),
-    1: (F(-8), F(8)),
-    2: (F(48), F(-70), F(32)),
-    3: (F(-280), F(1376, 3), F(-304), F(256, 3)),
-    4: (F(1632), F(-8509, 3), F(6454, 3), F(-2624, 3), F(512, 3)),
-    5: (F(-9512), F(85888, 5), F(-42104, 3), F(19888, 3), F(-5632, 3), F(4096, 15)),
-    6: (
-        F(55440),
-        F(-1543582, 15),
-        F(3971986, 45),
-        F(-45444),
-        F(136256, 9),
-        F(-48128, 15),
-        F(16384, 45),
-    ),
+PUBLISHED_POLYNOMIALS: dict[str, dict[int, tuple[Fraction, ...]]] = {
+    "cc": {
+        0: (F(1),),
+        1: (F(-4), F(4)),
+        2: (F(16), F(-19), F(8)),
+        3: (F(-76), F(268, 3), F(-44), F(32, 3)),
+        4: (F(384), F(-2717, 6), F(1403, 6), F(-200, 3), F(32, 3)),
+        5: (F(-2004), F(35522, 15), F(-3784, 3), F(1174, 3), F(-224, 3), F(128, 15)),
+        6: (
+            F(10672),
+            F(-189503, 15),
+            F(617753, 90),
+            F(-13427, 6),
+            F(4292, 9),
+            F(-992, 15),
+            F(256, 45),
+        ),
+    },
+    "plateau": {
+        0: (F(1),),
+        1: (F(-8), F(8)),
+        2: (F(48), F(-70), F(32)),
+        3: (F(-280), F(1376, 3), F(-304), F(256, 3)),
+        4: (F(1632), F(-8509, 3), F(6454, 3), F(-2624, 3), F(512, 3)),
+        5: (F(-9512), F(85888, 5), F(-42104, 3), F(19888, 3), F(-5632, 3), F(4096, 15)),
+        6: (
+            F(55440),
+            F(-1543582, 15),
+            F(3971986, 45),
+            F(-45444),
+            F(136256, 9),
+            F(-48128, 15),
+            F(16384, 45),
+        ),
+    },
 }
+FITTED_FAMILIES = tuple(PUBLISHED_POLYNOMIALS)
+
+# A fitted family's polynomial at offset i leads with LEADING_BASE[family]^i/i!.
+LEADING_BASE = {"cc": 4, "plateau": 8}
+
+
+def check_fitted_family(family: str) -> str:
+    """The family, if the paper fits width polynomials for it, else ValueError."""
+    if family not in FITTED_FAMILIES:
+        raise ValueError(f"family must be 'cc' or 'plateau', got {family!r}")
+    return family
 
 
 def published_polynomial(family: str, offset: int) -> tuple[Fraction, ...]:
-    """Published polynomial for the family at the given offset (0..6)."""
-    table = {"cc": CC_POLYNOMIAL_BY_OFFSET, "plateau": PLATEAU_POLYNOMIAL_BY_OFFSET}.get(family)
-    if table is None:
-        raise ValueError(f"family must be 'cc' or 'plateau', got {family!r}")
-    if offset not in table:
+    """Published polynomial for the family at one of PUBLISHED_OFFSETS."""
+    polynomials = PUBLISHED_POLYNOMIALS[check_fitted_family(family)]
+    if offset not in PUBLISHED_OFFSETS:
         raise ValueError(f"no published polynomial for offset {offset}")
-    return table[offset]
+    return polynomials[offset]
 
 
 def published_min_k(family: str, offset: int) -> int:
-    """Smallest k for which the published polynomial is stated to hold."""
-    published_polynomial(family, offset)  # validates arguments
+    """Smallest width k from which the family's polynomial at this offset
+    holds: k >= offset + 1, as printed, also past the published offsets."""
+    check_fitted_family(family)
+    if offset < 0:
+        raise ValueError(f"offset must be >= 0, got {offset}")
     return offset + 1

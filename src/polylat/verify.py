@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import asymptotics, oracle
 from .combinatorics import (
@@ -32,14 +33,8 @@ from .combinatorics import (
     vandermonde_variant,
 )
 from .counting import alpha_lemma, build_table, count_cc, count_dcc, r_conv, r_gf, s_closed
-from .reference_tables import (
-    CC_TABLE,
-    PLATEAU_ROWS,
-    TRIANGLE_ROWS,
-    plateau_row_size,
-    published_min_k,
-    published_polynomial,
-)
+from .reference_tables import CC_TABLE, FITTED_FAMILIES, PLATEAU_ROWS, PUBLISHED_OFFSETS, TRIANGLE_ROWS
+from .reference_tables import plateau_row_size, published_min_k, published_polynomial
 
 PASS = "pass"
 FAIL = "fail"
@@ -112,10 +107,10 @@ def suite_delannoy() -> RunReport:
         delannoy_closed(n, m) == delannoy_closed(m, n) for n in range(13) for m in range(13)
     )
     report.add("delannoy-symmetry-upto-12", True, symmetric)
-    triangle = tribonacci_triangle(9)
+    triangle = tribonacci_triangle(len(TRIANGLE_ROWS) - 1)
     for s, printed in enumerate(TRIANGLE_ROWS):
         report.add(f"triangle-row-{s}", list(printed), list(triangle.rows[s]))
-    anti_ok = all(tuple(antidiagonal(s)) == triangle.rows[s] for s in range(10))
+    anti_ok = all(tuple(antidiagonal(s)) == triangle.rows[s] for s in range(len(TRIANGLE_ROWS)))
     report.add("antidiagonal-matches-triangle-rows", True, anti_ok)
     return report
 
@@ -141,11 +136,11 @@ def suite_lemma41() -> RunReport:
     disagrees becomes a paper-discrepancy record."""
     report = RunReport("lemma41")
     for k in range(1, 5):
-        for n in range(k, min(k + 6, 10) + 1):
+        for n in range(k, min(k + 6, len(CC_TABLE)) + 1):
             report.add(f"printed-formula-vs-gf-k{k}-n{n}", count_cc(k, n), alpha_lemma(k, n), PAPER_DISCREPANCY)
     # the generating-function route agrees with the published table ...
     for k in range(1, 5):
-        for n in range(k, min(k + 6, 10) + 1):
+        for n in range(k, min(k + 6, len(CC_TABLE)) + 1):
             report.add(f"gf-vs-table-k{k}-n{n}", CC_TABLE[n - 1][k - 1], count_cc(k, n))
     # ... and with the geometric enumeration, at the two demonstration cells
     for k, n in ((2, 3), (2, 4)):
@@ -242,11 +237,11 @@ def suite_bijection() -> RunReport:
                     directed_ok = False
                 generated.add(p)
             # explicit pairing: every ordered pair of projections, unprojected
-            paired = set()
-            for i in range(k, m - k + 1):
-                for a in oracle.iter_cc(k, i):
-                    for b in oracle.iter_cc(k, m - i):
-                        paired.add(oracle.unproject(a, b))
+            paired = {
+                oracle.unproject(a, b)
+                for i in range(k, m - k + 1)
+                for a, b in product(oracle.iter_cc(k, i), oracle.iter_cc(k, m - i))
+            }
             if paired != generated:
                 pairing_ok = False
             report.add(
@@ -272,8 +267,8 @@ def suite_asymptotics() -> RunReport:
         reading.format(asymptotics.RatPoly(published_polynomial("plateau", 3))(4)),
         reading.format(r_gf(4, 2 * 4 + 3)),
     )
-    for family in ("cc", "plateau"):
-        for offset in range(7):
+    for family in FITTED_FAMILIES:
+        for offset in PUBLISHED_OFFSETS:
             fitted = asymptotics.fit_published(family, offset)
             report.add(f"asympt-{family}-offset{offset}-degree", offset, fitted.degree)
             report.add(

@@ -7,7 +7,7 @@ import pytest
 
 from polylat import oracle
 from polylat.cli import MAX_SIZE, MAX_TABLE_CELLS, MAX_WIDTH, MAX_WORKERS, build_parser, main
-from polylat.counting import AREA_FAMILIES, ROUTES
+from polylat.counting import ROUTES, SIZE_UNIT
 from polylat.reference_tables import CC_TABLE
 
 
@@ -80,9 +80,10 @@ def test_count_usage_errors(capsys):
 
 @pytest.mark.parametrize("family", ROUTES)
 def test_count_routes_agree(capsys, family):
-    size_flag, size_min = ("-n", 1) if family in AREA_FAMILIES else ("-m", 2)
+    unit = SIZE_UNIT[family]
+    size_flag = "-n" if unit == 1 else "-m"
     for k in range(1, 4):
-        for size in range(size_min * k, size_min * k + 5):
+        for size in range(unit * k, unit * k + 5):
             argv = ["count", "--family", family, "-k", str(k), size_flag, str(size)]
             code, default, _ = run_cli(capsys, *argv)
             assert code == 0
@@ -385,7 +386,7 @@ def test_arguments_over_their_limit_exit_2(capsys, argv, named):
 @pytest.mark.parametrize("family", ROUTES)
 def test_count_size_below_zero_exits_2_on_every_route(capsys, family):
     # size 0 is below every family's support, a valid count of 0
-    size_flag = "-n" if family in AREA_FAMILIES else "-m"
+    size_flag = "-n" if SIZE_UNIT[family] == 1 else "-m"
     for route in ROUTES[family]:
         argv = ["count", "--family", family, "-k", "2", "--method", route]
         code, out, err = run_cli(capsys, *argv, size_flag, "-5")
@@ -398,7 +399,7 @@ def test_count_size_below_zero_exits_2_on_every_route(capsys, family):
 def test_oracle_runs_at_the_width_cap(tmp_path, capsys, family):
     # one object at the widest width and its minimal size: a DFS as deep as
     # the cap allows, counted and dumped
-    size_flag, size = ("-n", MAX_WIDTH) if family in AREA_FAMILIES else ("-m", 2 * MAX_WIDTH)
+    size_flag, size = ("-n" if SIZE_UNIT[family] == 1 else "-m"), SIZE_UNIT[family] * MAX_WIDTH
     path = tmp_path / "objects.txt"
     code, out, _ = run_cli(
         capsys, "count", "--family", family, "-k", str(MAX_WIDTH), size_flag, str(size),

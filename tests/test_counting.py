@@ -8,8 +8,8 @@ from polylat import counting
 from polylat.asymptotics import RatPoly
 from polylat.combinatorics import binomial, delannoy_closed
 from polylat.counting import (
-    AREA_FAMILIES,
     ROUTES,
+    SIZE_UNIT,
     alpha_lemma,
     build_table,
     count_cc,
@@ -19,7 +19,18 @@ from polylat.counting import (
     s_closed,
     s_conv,
 )
-from polylat.reference_tables import CC_TABLE, PLATEAU_ROWS, plateau_row_size, published_polynomial
+from polylat.reference_tables import (
+    CC_TABLE,
+    COROLLARY_OFFSETS,
+    FITTED_FAMILIES,
+    LEADING_BASE,
+    PLATEAU_ROWS,
+    PUBLISHED_OFFSETS,
+    PUBLISHED_POLYNOMIALS,
+    plateau_row_size,
+    published_min_k,
+    published_polynomial,
+)
 
 # the one known digit garble in the published plateau table's first 15 rows
 PLATEAU_PRINT_TYPO = {(4, 13): (57922, 57928)}  # (k, m): (printed, correct)
@@ -67,6 +78,24 @@ def test_alpha_lemma_printed_formula():
     assert alpha_lemma(2, 4) == 1
     assert count_cc(2, 3) == 4
     assert count_cc(2, 4) == 9
+
+
+def test_alpha_lemma_matches_the_sum_stopped_at_vanishing_binomials():
+    # the printed sum runs over i, j >= 0; stopping each index at its first
+    # vanishing binomial factor drops only zero terms
+    def stopped(k, u):
+        total, i = 0, 0
+        while binomial(k - i - 1, i):
+            j = 0
+            while binomial(2 * k - j - 2, j):
+                total += binomial(k - i - 1, i) * binomial(2 * k - j - 2, j) * binomial(k - 2 * i - 1, u - k - i - j)
+                j += 1
+            i += 1
+        return total
+
+    for k in range(1, 16):
+        for u in range(-3, 60):
+            assert alpha_lemma(k, u) == stopped(k, u), (k, u)
 
 
 def test_count_cc():
@@ -138,6 +167,19 @@ def test_published_polynomial_rejects_bad_arguments():
         published_polynomial("plateau", 7)
 
 
+def test_published_facts_are_stated_for_every_fitted_family():
+    assert set(FITTED_FAMILIES) == set(LEADING_BASE) <= set(ROUTES)
+    assert set(COROLLARY_OFFSETS) <= set(PUBLISHED_OFFSETS)
+    for family in FITTED_FAMILIES:
+        assert set(PUBLISHED_POLYNOMIALS[family]) == set(PUBLISHED_OFFSETS)
+        # the valid-from rule holds past the published offsets too
+        assert [published_min_k(family, offset) for offset in (0, 6, 7, 20)] == [1, 7, 8, 21]
+        with pytest.raises(ValueError):
+            published_min_k(family, -1)
+    with pytest.raises(ValueError):
+        published_min_k("dcc", 1)
+
+
 def test_build_table_cc_is_published_table():
     table = build_table("cc", 10, 10)
     for n in range(1, 11):
@@ -204,7 +246,7 @@ def _counting_expansions(monkeypatch):
 @given(family=st.sampled_from(sorted(ROUTES)), k=st.integers(1, 3), extra=st.integers(-2, 5))
 def test_every_route_agrees_at_random_cells(family, k, extra):
     # extra counts from the family's minimal size; below it every route gives 0
-    size = (k if family in AREA_FAMILIES else 2 * k) + extra
+    size = SIZE_UNIT[family] * k + extra
     first, *others = ROUTES[family].values()
     expected = first(k, size)
     for route in others:

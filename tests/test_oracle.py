@@ -335,6 +335,18 @@ def test_staged_count_matches_whole_object_filter():
             assert enum_dplateau(k, m) == sum(map(_plateau_is_directed, _iter_strata(k, m))), (k, m)
 
 
+def test_staged_count_keeps_no_first_slice():
+    # every first stratum of a width-1 cell is visited once; keeping their
+    # cell maps would grow with the cube of the lateral area
+    tracemalloc.start()
+    try:
+        assert enum_dplateau(1, 60) == 59
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_staged_count_matches_search_from_every_root():
     for k in range(1, 4):
         for m in range(10):
