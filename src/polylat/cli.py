@@ -152,6 +152,8 @@ def cmd_table(args, parser) -> int:
 def cmd_gf(args, parser) -> int:
     if args.which != "S" and args.k is None:
         return _usage_error(parser, f"-k is required for --which {args.which}")
+    if args.which == "S" and args.k is not None:
+        return _usage_error(parser, "-k does not apply to --which S")
     message = _over_limit(("-k", args.k, MAX_WIDTH), ("--terms", args.terms, MAX_SIZE))
     if message:
         return _usage_error(parser, message)

@@ -72,9 +72,9 @@ def poly_pow(a, e: int) -> Poly:
     return result
 
 
-def monomial(e: int, c: int = 1) -> Poly:
-    """c * t^e as a polynomial."""
-    return poly_trim((0,) * e + (c,))
+def monomial(e: int) -> Poly:
+    """t^e as a polynomial."""
+    return (0,) * e + (1,)
 
 
 def one_minus_t_pow(e: int) -> Poly:

@@ -12,12 +12,12 @@ the remaining size budget, with no canonical-form hashing.
 The iter_* generators (and so dump_objects, --dump and the bijection
 suite) build and yield every object literally, by one DFS (_iter_slices)
 over a successor rule per slice kind (_next_columns, _next_strata). The
-enum_cc and enum_plateau counts walk the same search tree by plain
-recursion without yielding: they visit every offset of every
-column/stratum but the last two, whose overlap-feasible offsets they count
-by arithmetic: the last slice's count does not read the offset of the one
-before it. Earlier slices are placed at every offset; summing them by
-extents alone would be the transfer-matrix recurrence, not a search.
+enum_cc and enum_plateau counts walk the same tree over the same rules
+without yielding (_count_slices): they place every column/stratum but the
+last two at every offset, and a tail rule per slice kind (_columns_tail,
+_strata_tail) counts the last two's offsets by arithmetic: the last
+slice's count does not read the offset of the one before it. Summing the
+earlier slices by extents alone would be the transfer-matrix recurrence.
 
 Directedness is decided by literal reachability search: North/East unit
 steps in 2D from the bottom cell of the leftmost column, and
@@ -32,8 +32,8 @@ fully reached.
 
 One rule per family (_first_columns, _first_strata) generates the
 normalized first slices an object can start with, in DFS order. The
-iterators and the counting DFS loop over it, and with workers > 1 and more
-than one first slice each first slice is one process-pool task whose
+iterators and the counting searches loop over it, and with workers > 1
+they are dealt into strided shares, one process-pool task each, whose
 counts are summed, independent of the partition.
 """
 from __future__ import annotations
@@ -42,8 +42,8 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
-from typing import Iterator
+from itertools import islice, product
+from typing import Iterable, Iterator
 
 Column = tuple[int, int]
 Stratum = tuple[int, int, int, int]
@@ -221,7 +221,7 @@ def _next_strata(prev: Stratum, cols_left: int, area_left: int) -> Iterator[tupl
                     yield (y, h, z, d), s
 
 
-def _iter_slices(first_slices, successors, k: int, size: int, firsts: list | None = None) -> Iterator[tuple]:
+def _iter_slices(first_slices, successors, k: int, size: int, firsts: Iterable | None = None) -> Iterator[tuple]:
     """All slice tuples of width k and total size `size` that start with one
     of firsts (by default all of first_slices(k, size)), by DFS over
     successors(prev, slices_left, size_left). A slice's size is the sum of
@@ -249,61 +249,55 @@ _iter_columns = partial(_iter_slices, _first_columns, _next_columns)
 _iter_strata = partial(_iter_slices, _first_strata, _next_strata)
 
 
-def _count_columns(k: int, n: int, firsts: list[Column] | None = None) -> int:
-    """How many tuples _iter_columns(k, n, firsts) yields, by the same DFS
-    returning counts instead of yielding. The last two columns' bottoms are
-    counted, not visited: a column of height h under (pb, ph) has
-    ph + h - 1 overlap-feasible bottoms, whatever pb is. Earlier columns are
-    placed at every bottom, so the count stays a search, independent of a
-    transfer-matrix recurrence over extents."""
+def _count_slices(first_slices, successors, tail, k: int, size: int, firsts: Iterable | None = None) -> int:
+    """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
+    yields, by the same DFS counting instead of yielding: successors places
+    every slice but the last two at each of its offsets, and tail(prev,
+    slices_left, size_left) counts the ways to end it with 1 or 2 more."""
 
-    def rec(pb: int, ph: int, cols_left: int, area_left: int) -> int:
-        if cols_left == 0:
-            return 1
-        if cols_left == 1:
-            return ph + area_left - 1
-        if cols_left == 2:  # a last column under height h has h + (area_left - h) - 1 bottoms
-            return sum((ph + h - 1) * (area_left - 1) for h in range(1, area_left))
+    def rec(prev: tuple, slices_left: int, size_left: int) -> int:
+        if slices_left <= 2:
+            return tail(prev, slices_left, size_left) if slices_left else 1
         total = 0
-        for h in range(1, area_left - (cols_left - 1) + 1):
-            for b in range(pb - h + 1, pb + ph):
-                total += rec(b, h, cols_left - 1, area_left - h)
+        for nxt, used in successors(prev, slices_left, size_left):
+            total += rec(nxt, slices_left - 1, size_left - used)
         return total
 
-    firsts = _first_columns(k, n) if firsts is None else firsts
-    return sum(rec(b, h, k - 1, n - h) for b, h in firsts)
+    return sum(rec(first, k - 1, size - sum(first[1::2]))
+               for first in (first_slices(k, size) if firsts is None else firsts))
 
 
-def _count_strata(k: int, m: int, firsts: list[Stratum] | None = None) -> int:
-    """How many tuples _iter_strata(k, m, firsts) yields, by the same DFS
-    returning counts instead of yielding. The last two strata's offsets are
-    counted, not visited: a stratum (h, d) under (py, ph, pz, pd) has
-    (ph + h - 1) * (pd + d - 1) overlap-feasible offsets, and last() does
-    not read py or pz. Earlier strata are placed at every offset, so the
-    count stays a search, independent of a transfer-matrix recurrence."""
+def _columns_tail(prev: Column, cols_left: int, area_left: int) -> int:
+    """The ways to end a column tuple with cols_left (1 or 2) columns of area
+    area_left under prev = (pb, ph), by arithmetic: a column of height h
+    under it has ph + h - 1 overlap-feasible bottoms, whatever pb is."""
+    ph = prev[1]
+    if cols_left == 1:
+        return ph + area_left - 1
+    # a last column under height h has h + (area_left - h) - 1 bottoms
+    return sum((ph + h - 1) * (area_left - 1) for h in range(1, area_left))
 
-    def last(ph: int, pd: int, area_left: int) -> int:
-        return sum((ph + h - 1) * (pd + area_left - h - 1) for h in range(1, area_left))
 
-    def rec(py: int, ph: int, pz: int, pd: int, cols_left: int, area_left: int) -> int:
-        if cols_left == 0:
-            return 1
-        if cols_left == 1:
-            return last(ph, pd, area_left)
-        if cols_left == 2:
-            return sum((ph + h - 1) * (pd + s - h - 1) * last(h, s - h, area_left - s)
-                       for s in range(2, area_left - 1) for h in range(1, s))
-        total = 0
-        for s in range(2, area_left - 2 * (cols_left - 1) + 1):
-            for h in range(1, s):
-                d = s - h
-                for y in range(py - h + 1, py + ph):
-                    for z in range(pz - d + 1, pz + pd):
-                        total += rec(y, h, z, d, cols_left - 1, area_left - s)
-        return total
+def _last_stratum(ph: int, pd: int, area_left: int) -> int:
+    """The ways to place a last stratum of lateral area area_left under one
+    of height ph and depth pd: (ph + h - 1) * (pd + d - 1) offsets per (h, d)."""
+    return sum((ph + h - 1) * (pd + area_left - h - 1) for h in range(1, area_left))
 
-    firsts = _first_strata(k, m) if firsts is None else firsts
-    return sum(rec(y, h, z, d, k - 1, m - h - d) for y, h, z, d in firsts)
+
+def _strata_tail(prev: Stratum, strata_left: int, area_left: int) -> int:
+    """The ways to end a stratum tuple with strata_left (1 or 2) strata of
+    lateral area area_left under prev = (py, ph, pz, pd), by arithmetic: the
+    last stratum's count does not read the offsets of the one before it."""
+    _, ph, _, pd = prev
+    if strata_left == 1:
+        return _last_stratum(ph, pd, area_left)
+    return sum((ph + h - 1) * (pd + s - h - 1) * _last_stratum(h, s - h, area_left - s)
+               for s in range(2, area_left - 1) for h in range(1, s))
+
+
+# (k, size[, firsts]): how many tuples _iter_columns / _iter_strata yields.
+_count_columns = partial(_count_slices, _first_columns, _next_columns, _columns_tail)
+_count_strata = partial(_count_slices, _first_strata, _next_strata, _strata_tail)
 
 
 def _slice_steps(s: tuple) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -335,7 +329,7 @@ def _slice_reached(steps: dict, seeds) -> bool:
     return len(seen) == len(steps)
 
 
-def _count_reachable(first_slices, successors, k: int, size: int, firsts: list | None = None) -> int:
+def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterable | None = None) -> int:
     """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
     yields that are directed, by the same reachability search staged slice
     by slice. No East, North or Ahead step decreases x, so the cells of a
@@ -396,16 +390,22 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
             yield PlateauPolycube(plats)
 
 
-def _enum(count, firsts, k: int, size: int, workers: int) -> int:
-    """count(k, size), or with workers > 1 and more than one first slice in
-    firsts(k, size) the sum of count(k, size, [first]) over them, one task
-    each, mapped over a pool of at most that many processes. Only the pool
-    lists the first slices."""
-    chunks = list(firsts(k, size)) if workers > 1 else []
-    if len(chunks) < 2:
+def _count_share(count, first_slices, k: int, size: int, shares: int, share: int) -> int:
+    """One pool task: count(k, size) over the first slices numbered share,
+    share + shares, share + 2 * shares, ... in DFS order."""
+    return count(k, size, islice(first_slices(k, size), share, None, shares))
+
+
+def _enum(count, first_slices, k: int, size: int, workers: int) -> int:
+    """count(k, size), or with workers > 1 and more than one first slice
+    the sum of count over min(workers, first slices) strided shares of
+    first_slices(k, size), one pool task and process each. Each task
+    generates its own share: no list of the first slices is built."""
+    shares = len(list(islice(first_slices(k, size), workers))) if workers > 1 else 1
+    if shares < 2:
         return count(k, size)
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        return sum(pool.map(partial(count, k, size), [[first] for first in chunks]))
+    with ProcessPoolExecutor(max_workers=shares) as pool:
+        return sum(pool.map(partial(_count_share, count, first_slices, k, size, shares), range(shares)))
 
 
 def enum_cc(k: int, n: int, workers: int = 1) -> int:

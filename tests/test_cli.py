@@ -192,6 +192,13 @@ def test_gf_missing_k(capsys):
     assert "-k is required" in err
 
 
+def test_gf_s_rejects_k(capsys):
+    code, out, err = run_cli(capsys, "gf", "--which", "S", "-k", "3", "--terms", "4")
+    assert code == 2
+    assert out == ""
+    assert "error: -k does not apply to --which S" in err
+
+
 def test_verify_vandermonde(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "vandermonde")
     assert code == 0
@@ -353,7 +360,8 @@ def test_table_csv_golden_digest(capsys, family):
 
 @pytest.mark.parametrize("which", GF_DIGESTS)
 def test_gf_golden_digest(capsys, which):
-    code, out, _ = run_cli(capsys, "gf", "--which", which, "-k", "7", "--terms", "60")
+    width = () if which == "S" else ("-k", "7")  # S has no width
+    code, out, _ = run_cli(capsys, "gf", "--which", which, *width, "--terms", "60")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GF_DIGESTS[which]
 

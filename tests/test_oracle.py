@@ -134,15 +134,16 @@ def test_iter_counts_match_enum():
 
 
 def test_counting_parts_match_literal_parts():
-    # every first-column / first-stratum part on its own, and their sum
-    for k in range(1, 5):
-        for n in range(k, 13):
+    # every first-column / first-stratum part on its own, and their sum; at
+    # k = 5 two slices are placed by successors below the first one
+    for k in range(1, 6):
+        for n in range(k, 14):
             firsts = list(_first_columns(k, n))
             parts = [_count_columns(k, n, [first]) for first in firsts]
             assert parts == [sum(1 for _ in _iter_columns(k, n, [first])) for first in firsts]
             assert sum(parts) == _count_columns(k, n)
-    for k in range(1, 5):
-        for m in range(2 * k, 13):
+    for k in range(1, 6):
+        for m in range(2 * k, 14):
             firsts = list(_first_strata(k, m))
             parts = [_count_strata(k, m, [first]) for first in firsts]
             assert parts == [sum(1 for _ in _iter_strata(k, m, [first])) for first in firsts]
@@ -150,7 +151,7 @@ def test_counting_parts_match_literal_parts():
 
 
 @settings(deadline=None)
-@given(data=st.data(), k=st.integers(1, 4), size=st.integers(2, 12))
+@given(data=st.data(), k=st.integers(1, 5), size=st.integers(2, 12))
 def test_counting_part_matches_literal_part_at_random_first_slice(data, k, size):
     # one first slice, then the placed and the arithmetic levels below it
     if size >= k:
@@ -195,6 +196,37 @@ def test_single_first_slice_starts_no_pool(monkeypatch):
     assert list(_first_columns(1, 7)) == [(0, 7)] and list(_first_strata(2, 4)) == [(0, 1, 0, 1)]
     assert enum_cc(1, 7, workers=2) == enum_dcc(1, 7, workers=2) == 1
     assert enum_plateau(2, 4, workers=2) == enum_dplateau(2, 4, workers=2) == 1
+
+
+def test_pool_shares_are_generated_by_the_tasks(monkeypatch):
+    # 1,995,003 first strata at (2, 2000): two workers get two strided
+    # shares, and the pool does not list the first strata (the fake pool
+    # runs no share; test_workers_partitioning_matches_serial runs them)
+    submitted = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, task, shares):
+            submitted.extend(shares)
+            return [0] * len(submitted)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    tracemalloc.start()
+    try:
+        assert enum_plateau(2, 2000, workers=2) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert submitted == [0, 1]
+    assert peak < 1_000_000
 
 
 def test_first_slices_are_generated_on_demand():
