@@ -76,6 +76,8 @@ def cmd_count(args, parser) -> int:
         return _usage_error(parser, f"method {method!r} is not available for family {family!r} (valid: {valid})")
     if args.dump and method != "oracle":
         return _usage_error(parser, "--dump requires --method oracle")
+    if args.workers != 1 and method != "oracle":
+        return _usage_error(parser, "--workers requires --method oracle")
     size_flag = "-n" if args.n is not None else "-m"
     if size < 0:
         return _usage_error(parser, f"{size_flag} must be >= 0, got {size}")

@@ -14,10 +14,10 @@ suite) build and yield every object literally, by one DFS (_iter_slices)
 over a successor rule per slice kind (_next_columns, _next_strata). The
 enum_cc and enum_plateau counts walk the same tree over the same rules
 without yielding (_count_slices): they place every column/stratum but the
-last two at every offset, and a tail rule per slice kind (_columns_tail,
-_strata_tail) counts the last two's offsets by arithmetic: the last
-slice's count does not read the offset of the one before it. Summing the
-earlier slices by extents alone would be the transfer-matrix recurrence.
+last two at every offset; a tail rule per slice kind (_columns_tail,
+_strata_tail) counts the last two in O(1) by closed forms of their
+per-offset sums. It stops at two: summing the earlier slices by extents
+alone would be the transfer-matrix recurrence, a formula route of its own.
 
 Directedness is decided by literal reachability search: North/East unit
 steps in 2D from the bottom cell of the leftmost column, and
@@ -269,30 +269,29 @@ def _count_slices(first_slices, successors, tail, k: int, size: int, firsts: Ite
 
 def _columns_tail(prev: Column, cols_left: int, area_left: int) -> int:
     """The ways to end a column tuple with cols_left (1 or 2) columns of area
-    area_left under prev = (pb, ph), by arithmetic: a column of height h
-    under it has ph + h - 1 overlap-feasible bottoms, whatever pb is."""
-    ph = prev[1]
+    area_left >= cols_left under prev = (pb, ph), in closed form: a column of
+    height h under it has ph + h - 1 overlap-feasible bottoms, whatever pb
+    is, so two take Σ_{1<=h<area_left} (ph + h - 1) * (area_left - 1)."""
+    ph, a = prev[1], area_left
     if cols_left == 1:
-        return ph + area_left - 1
-    # a last column under height h has h + (area_left - h) - 1 bottoms
-    return sum((ph + h - 1) * (area_left - 1) for h in range(1, area_left))
-
-
-def _last_stratum(ph: int, pd: int, area_left: int) -> int:
-    """The ways to place a last stratum of lateral area area_left under one
-    of height ph and depth pd: (ph + h - 1) * (pd + d - 1) offsets per (h, d)."""
-    return sum((ph + h - 1) * (pd + area_left - h - 1) for h in range(1, area_left))
+        return ph + a - 1
+    return (a - 1) ** 2 * (a + 2 * ph - 2) // 2
 
 
 def _strata_tail(prev: Stratum, strata_left: int, area_left: int) -> int:
     """The ways to end a stratum tuple with strata_left (1 or 2) strata of
-    lateral area area_left under prev = (py, ph, pz, pd), by arithmetic: the
-    last stratum's count does not read the offsets of the one before it."""
+    lateral area area_left >= 2 * strata_left under prev = (py, ph, pz, pd),
+    in closed form: a stratum (h, d) under it has (ph + h - 1) * (pd + d - 1)
+    offsets, whatever py and pz are, so one takes last(ph, pd, area_left) =
+    Σ_{1<=h<area_left} (ph + h - 1) * (pd + area_left - h - 1) and two take
+    Σ_{2<=s<area_left-1, 1<=h<s} (ph + h - 1) * (pd + s - h - 1) * last(h, s - h, area_left - s)."""
     _, ph, _, pd = prev
+    a, A, B = area_left, ph - 1, pd - 1
     if strata_left == 1:
-        return _last_stratum(ph, pd, area_left)
-    return sum((ph + h - 1) * (pd + s - h - 1) * _last_stratum(h, s - h, area_left - s)
-               for s in range(2, area_left - 1) for h in range(1, s))
+        return (a - 1) * (6 * A * B + 3 * (A + B) * a + a * (a + 1)) // 6
+    q = a * a - 4 * a + 5
+    return ((a - 1) * (a - 2) * (a - 3)
+            * (56 * A * B * q + 14 * (A + B) * a * q + a * (3 * a ** 3 - 10 * a ** 2 + 5 * a + 18)) // 1680)
 
 
 # (k, size[, firsts]): how many tuples _iter_columns / _iter_strata yields.
@@ -410,8 +409,8 @@ def _enum(count, first_slices, k: int, size: int, workers: int) -> int:
 
 def enum_cc(k: int, n: int, workers: int = 1) -> int:
     """Count of column-convex polyominoes with k columns and area n, by
-    exhaustive search with the last two columns' bottoms counted by
-    arithmetic. 0 when n < k."""
+    exhaustive search with the last two columns counted by the closed form
+    of _columns_tail. 0 when n < k."""
     return _enum(_count_columns, _first_columns, k, n, workers)
 
 
@@ -424,8 +423,8 @@ def enum_dcc(k: int, n: int, workers: int = 1) -> int:
 
 def enum_plateau(k: int, m: int, workers: int = 1) -> int:
     """Count of plateau polycubes with k strata and lateral area m, by
-    exhaustive search with the last two strata's offsets counted by
-    arithmetic. 0 when m < 2k."""
+    exhaustive search with the last two strata counted by the closed forms
+    of _strata_tail. 0 when m < 2k."""
     return _enum(_count_strata, _first_strata, k, m, workers)
 
 

@@ -308,6 +308,20 @@ def test_workers_over_limit(capsys, monkeypatch, workers):
     assert f"--workers {workers} is over the limit of {MAX_WORKERS}" in err
 
 
+@pytest.mark.parametrize("method", [["--method", "gf"], []])
+def test_workers_require_oracle(capsys, method):
+    # a non-oracle route runs no worker: --workers there is a usage error
+    code, out, err = run_cli(capsys, "count", "--family", "cc", "-k", "3", "-n", "5", *method, "--workers", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --workers requires --method oracle\n")
+    # the range checks on --workers come first
+    code, out, err = run_cli(capsys, "count", "--family", "cc", "-k", "3", "-n", "5", *method, "--workers", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --workers must be >= 1, got 0\n")
+    code, out, _ = run_cli(capsys, "count", "--family", "cc", "-k", "3", "-n", "5", *method, "--workers", "1")
+    assert (code, out) == (0, "31\n")
+
+
 def test_verify_takes_no_workers(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--suite", "delannoy", "--workers", "2"])

@@ -2,6 +2,7 @@
 routes, projections, directedness, and the dump format."""
 import io
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +14,18 @@ from polylat.oracle import (
     ColumnConvexPoly,
     PlateauPolycube,
     _cc_is_directed,
+    _columns_tail,
     _count_columns,
+    _count_slices,
     _count_strata,
     _first_columns,
     _first_strata,
     _iter_columns,
     _iter_strata,
+    _next_columns,
+    _next_strata,
     _plateau_is_directed,
+    _strata_tail,
     dump_objects,
     enum_cc,
     enum_dcc,
@@ -160,6 +166,67 @@ def test_counting_part_matches_literal_part_at_random_first_slice(data, k, size)
     if size >= 2 * k:
         first = data.draw(st.sampled_from(list(_first_strata(k, size))))
         assert _count_strata(k, size, [first]) == sum(1 for _ in _iter_strata(k, size, [first]))
+
+
+# The tails' sums written out, term by term over the extents of the last one
+# or two slices after a slice of height ph (and depth pd): the closed forms
+# of _columns_tail and _strata_tail are checked against these.
+def columns_two_sum(ph, a):
+    # a column of height h has ph + h - 1 bottoms, the last one a - 1
+    return sum((ph + h - 1) * (a - 1) for h in range(1, a))
+
+
+@lru_cache(maxsize=1 << 16)  # the grid below reuses each a's terms
+def last_stratum_sum(ph, pd, a):
+    return sum((ph + h - 1) * (pd + a - h - 1) for h in range(1, a))
+
+
+def strata_two_sum(ph, pd, a):
+    return sum((ph + h - 1) * (pd + s - h - 1) * last_stratum_sum(h, s - h, a - s)
+               for s in range(2, a - 1) for h in range(1, s))
+
+
+def assert_tails_match_sums(ph, pd, a):
+    # the tails read only the previous slice's extents, not its offsets
+    assert _columns_tail((-3, ph), 2, a) == columns_two_sum(ph, a), (ph, a)
+    assert _strata_tail((2, ph, -1, pd), 1, a) == last_stratum_sum(ph, pd, a), (ph, pd, a)
+    assert _strata_tail((2, ph, -1, pd), 2, a) == strata_two_sum(ph, pd, a), (ph, pd, a)
+
+
+def test_tail_closed_forms_match_sums():
+    for a in range(1, 61):
+        for ph in range(1, 13):
+            for pd in range(1, 13):
+                assert_tails_match_sums(ph, pd, a)
+
+
+@settings(deadline=None, max_examples=40)
+@given(ph=st.integers(1, 300), pd=st.integers(1, 300), a=st.integers(1, 150))
+def test_tail_closed_forms_match_sums_at_random_extents(ph, pd, a):
+    assert_tails_match_sums(ph, pd, a)
+
+
+def test_counting_dfs_passes_tails_their_domain():
+    # the closed forms hold for area_left >= 1: the DFS hands a tail at
+    # least one column's or stratum's least size per slice left
+    def checked(tail, unit):
+        def rule(prev, slices_left, size_left):
+            assert slices_left in (1, 2) and size_left >= unit * slices_left, (prev, slices_left, size_left)
+            return tail(prev, slices_left, size_left)
+        return rule
+
+    for k in range(1, 6):
+        for size in range(14):
+            if size >= k:
+                assert _count_slices(_first_columns, _next_columns, checked(_columns_tail, 1), k, size) == \
+                    enum_cc(k, size)
+            if size >= 2 * k:
+                assert _count_slices(_first_strata, _next_strata, checked(_strata_tail, 2), k, size) == \
+                    enum_plateau(k, size)
+    # outside the domain the forms are not the (empty) sums
+    assert _columns_tail((0, 2), 2, 0) != columns_two_sum(2, 0)
+    assert _strata_tail((0, 2, 0, 2), 1, 0) != last_stratum_sum(2, 2, 0)
+    assert _strata_tail((0, 2, 0, 2), 2, 0) != strata_two_sum(2, 2, 0)
 
 
 def test_iterator_order_is_pinned():
