@@ -9,15 +9,16 @@ That constructive representation is unique per object, so enumeration is
 plain depth-first generation over heights/depths and offsets, pruned on
 the remaining size budget, with no canonical-form hashing.
 
-The iter_* generators (and so dump_objects, --dump and the bijection
-suite) build and yield every object literally, by one DFS (_iter_slices)
-over a successor rule per slice kind (_next_columns, _next_strata). The
-enum_cc and enum_plateau counts walk the same tree over the same rules
-without yielding (_count_slices): they place every column/stratum but the
-last two at every offset; a tail rule per slice kind (_columns_tail,
-_strata_tail) counts the last two in O(1) by closed forms of their
-per-offset sums. It stops at two: summing the earlier slices by extents
-alone would be the transfer-matrix recurrence, a formula route of its own.
+The iter_* generators (and so the bijection suite) build and yield every
+object literally, by one DFS (_iter_slices) over a successor rule per
+slice kind (_next_columns, _next_strata); dump_objects (--dump) writes
+that DFS's tuples without building objects. The enum_cc and enum_plateau
+counts walk the same tree over the same rules without yielding
+(_count_slices): they place every column/stratum but the last two at
+every offset; a tail rule per slice kind (_columns_tail, _strata_tail)
+counts the last two in O(1) by closed forms of their per-offset sums. It
+stops at two: summing the earlier slices by extents alone would be the
+transfer-matrix recurrence, a formula route of its own.
 
 Directedness is decided by literal reachability search: North/East unit
 steps in 2D from the bottom cell of the leftmost column, and
@@ -28,7 +29,7 @@ along the same DFS (_count_reachable): no step decreases x, so a slice
 can be reached only from the slices to its left. The first slice is
 searched from the root, each later one from the East step of the previous
 slice's cells, and a prefix is dropped as soon as one of its slices is not
-fully reached.
+fully reached. The directed dumps prune the same way (_iter_reachable).
 
 One rule per family (_first_columns, _first_strata) generates the
 normalized first slices an object can start with, in DFS order. The
@@ -41,7 +42,7 @@ from __future__ import annotations
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, product
 from typing import Iterable, Iterator
 
@@ -363,6 +364,26 @@ def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterab
     return total
 
 
+def _iter_reachable(first_slices, successors, k: int, size: int) -> Iterator[tuple]:
+    """The directed tuples of _iter_slices(first_slices, successors, k,
+    size), in its order: the same DFS over only the slices that the
+    slice-staged search of _count_reachable reaches fully from the slice
+    before, so a prefix is dropped as soon as one of its slices is not."""
+    steps_of = lru_cache(maxsize=None)(_slice_steps)
+
+    def reached_firsts(k: int, size: int) -> Iterator[tuple]:
+        return (first for first in first_slices(k, size) if _slice_reached(steps_of(first), [first[::2]]))
+
+    def reached_successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
+        prev_cells = steps_of(prev).keys()
+        for nxt, used in successors(prev, slices_left, size_left):
+            steps = steps_of(nxt)
+            if _slice_reached(steps, steps.keys() & prev_cells):
+                yield nxt, used
+
+    return _iter_slices(reached_firsts, reached_successors, k, size)
+
+
 def iter_cc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
     """Every normalized column-convex polyomino with k columns and area n."""
     for cols in _iter_columns(k, n):
@@ -496,12 +517,16 @@ def lateral_area_voxels(cells) -> int:
 _DUMP_TUPLE = re.compile(r"\((-?[0-9]+(?:,-?[0-9]+)*)\)")
 
 
+def _slice_text(s: tuple) -> str:
+    return f"({','.join(map(str, s))})"
+
+
 def format_cc(p: ColumnConvexPoly) -> str:
-    return " ".join(f"({b},{h})" for b, h in p.columns)
+    return " ".join(map(_slice_text, p.columns))
 
 
 def format_plateau(p: PlateauPolycube) -> str:
-    return " ".join(f"({y0},{h},{z0},{d})" for y0, h, z0, d in p.plateaus)
+    return " ".join(map(_slice_text, p.plateaus))
 
 
 def _parse_tuples(line: str, arity: int, build):
@@ -528,22 +553,26 @@ def parse_plateau(line: str) -> PlateauPolycube:
     return _parse_tuples(line, 4, PlateauPolycube)
 
 
-_DUMPERS = {
-    "cc": (iter_cc, format_cc),
-    "dcc": (iter_dcc, format_cc),
-    "plateau": (iter_plateau, format_plateau),
-    "dplateau": (iter_dplateau, format_plateau),
+# family -> its tuples in the order of iter_<family>; tests hold the directed
+# ones, pruned slice by slice, to the whole-object search of iter_d*.
+_DUMPED = {
+    "cc": _iter_columns,
+    "dcc": partial(_iter_reachable, _first_columns, _next_columns),
+    "plateau": _iter_strata,
+    "dplateau": partial(_iter_reachable, _first_strata, _next_strata),
 }
 
 
 def dump_objects(family: str, k: int, size: int, stream) -> int:
     """Write every enumerated object of the family at (k, size) to stream,
-    one per line in the dump format above; returns the object count."""
-    if family not in _DUMPERS:
+    one per line in the dump format above, in the order of iter_<family>;
+    returns the object count. Lines are written from the DFS's tuples,
+    without building an object per line."""
+    if family not in _DUMPED:
         raise ValueError(f"unknown family {family!r}")
-    iterate, formatter = _DUMPERS[family]
+    text = lru_cache(maxsize=None)(_slice_text)  # the slices repeat across lines
     count = 0
-    for obj in iterate(k, size):
-        stream.write(formatter(obj) + "\n")
+    for slices in _DUMPED[family](k, size):
+        stream.write(" ".join(map(text, slices)) + "\n")
         count += 1
     return count

@@ -506,6 +506,25 @@ def test_dump_and_parse_round_trip():
     assert all(p.is_directed() for p in parsed)
 
 
+def test_dump_lines_are_the_iterators_objects_in_order():
+    # the dump writes the DFS's tuples and prunes the directed families by
+    # the slice-staged search; the iterators build every object and search
+    # it whole
+    for family, iterate, formatter, k_max, low, high in (
+        ("cc", iter_cc, format_cc, 4, lambda k: k - 1, 10),
+        ("dcc", iter_dcc, format_cc, 4, lambda k: k - 1, 10),
+        ("plateau", iter_plateau, format_plateau, 3, lambda k: 2 * k - 1, 10),
+        ("dplateau", iter_dplateau, format_plateau, 3, lambda k: 2 * k - 1, 10),
+    ):
+        for k in range(1, k_max + 1):
+            for size in range(low(k), high + 1):
+                stream = io.StringIO()
+                count = dump_objects(family, k, size, stream)
+                expected = [formatter(p) + "\n" for p in iterate(k, size)]
+                assert stream.getvalue() == "".join(expected), (family, k, size)
+                assert count == len(expected)
+
+
 @given(column_convex, plateaus)
 def test_parse_inverts_format_on_random_objects(poly, cube):
     assert parse_cc(format_cc(poly)) == poly
