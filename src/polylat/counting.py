@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .combinatorics import binomial
-from .gfseries import gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width
+from .gfseries import RationalGF, gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width
 from .oracle import enum_cc, enum_dcc, enum_dplateau, enum_plateau
 
 
@@ -79,28 +79,39 @@ def alpha_lemma(k: int, u: int) -> int:
     )
 
 
-_SERIES_CACHE: dict[tuple[str, int], list[int]] = {}
+# (kind, width) -> (series, size of its first query, expanded prefix)
+_SERIES_CACHE: dict[tuple[str, int], tuple[RationalGF, int, list[int]]] = {}
 
 
 def _cached_coeff(kind: str, k: int, gf_factory, n: int) -> int:
-    """Coefficient [t^n] of a per-width series, with the expanded prefix
-    cached per process. A miss re-expands the series from term 0 to at
-    least twice the cached length, so a width asked for sizes in
-    increasing order expands about log2(n) times; asked for its largest
-    size first (as build_table does), it expands once. Recomputation on
-    extension is idempotent, so concurrent use is safe."""
-    coeffs = _SERIES_CACHE.get((kind, k))
-    if coeffs is None or n >= len(coeffs):
-        upto = max(n, 2 * (len(coeffs) if coeffs else 0), 32)
-        coeffs = gf_coeffs(gf_factory(k), upto)
-        _SERIES_CACHE[(kind, k)] = coeffs
+    """Coefficient [t^n] of a per-width series, cached per process.
+
+    A width's first query builds its series once, keeps it in the cache
+    entry and answers with one binomial sum (gf_coeff), expanding nothing.
+    A later query within the expanded prefix is a list index. Any other
+    query expands the kept series from term 0 to the largest of n, the
+    first query's size, twice the expanded length and 32. So a width asked
+    for sizes in increasing order expands about log2(n) times; asked for its
+    largest size first (as build_table does), it expands once, at its
+    second query. Recomputation on extension is idempotent, so concurrent
+    use is safe."""
+    entry = _SERIES_CACHE.get((kind, k))
+    if entry is None:
+        gf = gf_factory(k)
+        _SERIES_CACHE[(kind, k)] = (gf, n, [])
+        return gf_coeff(gf, n)
+    gf, first, coeffs = entry
+    if n >= len(coeffs):
+        coeffs = gf_coeffs(gf, max(n, first, 2 * len(coeffs), 32))
+        _SERIES_CACHE[(kind, k)] = (gf, first, coeffs)
     return coeffs[n]
 
 
 def count_cc(k: int, n: int) -> int:
     """Column-convex polyominoes with k columns and area n, from the
-    width-indexed generating function (the authoritative route).
-    Zero when n < k, without expanding the series."""
+    width-indexed generating function (the authoritative route): a
+    width's first query is one binomial sum, later ones read its cached
+    expansion. Zero when n < k, without building the series."""
     _check_width(k)
     return _cached_coeff("C", k - 1, gf_C, n) if n >= k else 0
 
@@ -114,8 +125,9 @@ def r_conv(k: int, m: int) -> int:
 
 def r_gf(k: int, m: int) -> int:
     """Plateau polycubes of width k and lateral area m, as the p^m
-    coefficient of the squared column-convex generating function. Zero
-    when m < 2k, without expanding the series."""
+    coefficient of the squared column-convex generating function: a
+    width's first query is one binomial sum, later ones read its cached
+    expansion. Zero when m < 2k, without building the series."""
     _check_width(k)
     return _cached_coeff("R", k, gf_R, m) if m >= 2 * k else 0
 

@@ -5,9 +5,14 @@ zeros (the zero polynomial is the empty tuple). A rational generating
 function num/den keeps its denominator normalized to constant term 1, so
 its Taylor coefficients are exact integers; no rational arithmetic is ever
 involved. When the denominator is exactly (1-t)^e, as for every per-width
-series below, the coefficients are e rounds of prefix sums over the
-numerator (division by 1-t is a running sum). Any other denominator (only
-the width-summed S) goes through the induced linear recurrence
+series below, there are two paths to the coefficients. The whole prefix
+(gf_coeffs) is e rounds of prefix sums over the numerator (division by 1-t
+is a running sum); a single coefficient (gf_coeff) is one binomial sum,
+
+    [t^n] num/(1-t)^e = sum_i num_i * C(n-i+e-1, e-1),
+
+with no expansion. Any other denominator (only the width-summed S) goes
+through the induced linear recurrence
 
     c_n = num_n - sum_{i>=1} den_i * c_{n-i}.
 
@@ -78,10 +83,16 @@ def monomial(e: int) -> Poly:
 
 
 def one_minus_t_pow(e: int) -> Poly:
-    """(1 - t)^e, by the binomial theorem: coefficient i is (-1)^i C(e, i)."""
+    """(1 - t)^e, by the binomial theorem: coefficient i is (-1)^i C(e, i).
+
+    The row is walked by the exact ratio c_(i+1) = -c_i (e-i)/(i+1), one
+    small product and division per coefficient in place of a binomial each."""
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
-    return tuple(-comb(e, i) if i % 2 else comb(e, i) for i in range(e + 1))
+    row = [1]
+    for i in range(e):
+        row.append(-row[i] * (e - i) // (i + 1))
+    return tuple(row)
 
 
 @dataclass(frozen=True)
@@ -134,10 +145,28 @@ def gf_coeffs(gf: RationalGF, upto: int) -> list[int]:
 
 
 def gf_coeff(gf: RationalGF, n: int) -> int:
-    """Single Taylor coefficient [t^n] gf (0 for negative n)."""
+    """Single Taylor coefficient [t^n] gf (0 for negative n).
+
+    A denominator equal to (1-t)^e with e >= 1 gives one binomial sum,
+    [t^n] num/(1-t)^e = sum_i num_i C(n-i+e-1, e-1), with no expansion:
+    one binomial at the numerator's first nonzero index, then each next one
+    by the exact ratio C(N-1, r) = C(N, r) (N-r)/N. Any other denominator
+    is expanded by gf_coeffs, under its rules and errors."""
     if n < 0:
         return 0
-    return gf_coeffs(gf, n)[n]
+    num, e = gf.num, len(gf.den) - 1
+    if e < 1 or gf.den != one_minus_t_pow(e):
+        return gf_coeffs(gf, n)[n]
+    top = min(n, len(num) - 1)
+    first = next((i for i in range(top + 1) if num[i]), None)
+    if first is None:
+        return 0
+    c = comb(n - first + e - 1, e - 1)
+    total = num[first] * c
+    for i in range(first + 1, top + 1):
+        c = c * (n - i + 1) // (n - i + e)
+        total += num[i] * c
+    return total
 
 
 def gf_dcc_width(k: int) -> RationalGF:
@@ -196,10 +225,12 @@ def gf_C(k: int) -> RationalGF:
 def gf_R(k: int) -> RationalGF:
     """C_(k-1)^2: plateau polycubes of width k, counted by lateral area.
 
-    The square is formed literally (numerator and denominator squared); its
-    coefficients are the Cauchy self-convolution of the width-k
-    column-convex counts."""
+    Its coefficients are the Cauchy self-convolution of the width-k
+    column-convex counts. With C_(k-1) = t^k D(t) / (1-t)^(2k-1), D the
+    (k-1)-th Delannoy anti-diagonal, the square is t^(2k) D(t)^2 /
+    (1-t)^(4k-2): only D is squared, and the denominator is built as a
+    power of 1-t, not as a product."""
     if k < 1:
         raise ValueError(f"width must be >= 1, got {k}")
-    c = gf_C(k - 1)
-    return RationalGF(poly_mul(c.num, c.num), poly_mul(c.den, c.den))
+    d = poly_trim(antidiagonal(k - 1))
+    return RationalGF(poly_mul(monomial(2 * k), poly_mul(d, d)), one_minus_t_pow(4 * k - 2))

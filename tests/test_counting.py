@@ -284,3 +284,40 @@ def test_build_table_plateau_past_cache_growths(monkeypatch):
     assert calls == [140] * 12
     for k in range(1, 13):
         assert [table.value(k, m) for m in range(2, 141)] == [r_conv(k, m) for m in range(2, 141)]
+
+
+def test_first_query_expands_nothing_and_the_second_covers_both(monkeypatch):
+    calls = _counting_expansions(monkeypatch)
+    assert count_cc(30, 300) == _cc_binomial_sum(30, 300)
+    by_sum = r_gf(12, 200)
+    assert calls == []
+    # a width's second query expands it once, up to the larger of its two
+    # sizes; later queries inside that prefix expand nothing
+    assert count_cc(30, 120) == _cc_binomial_sum(30, 120)
+    assert calls == [300]
+    assert count_cc(30, 300) == _cc_binomial_sum(30, 300)
+    assert count_cc(30, 31) == _cc_binomial_sum(30, 31)
+    assert calls == [300]
+    assert r_gf(12, 200) == by_sum
+    assert calls == [300, 200]
+    assert r_gf(12, 24) == 1
+    assert calls == [300, 200]
+
+
+def test_large_cold_cells_expand_nothing(monkeypatch):
+    calls = _counting_expansions(monkeypatch)
+    assert count_cc(400, 10000) == _cc_binomial_sum(400, 10000)
+    assert r_gf(400, 10000) > 0
+    assert calls == []
+
+
+def test_first_queries_match_the_other_route_at_large_cells(monkeypatch):
+    for k, m in ((40, 400), (100, 1200)):
+        calls = _counting_expansions(monkeypatch)
+        first = r_gf(k, m)
+        assert calls == []
+        assert first == r_conv(k, m)
+    for k, n in ((48, 400), (100, 1200), (13, 100)):
+        calls = _counting_expansions(monkeypatch)
+        assert count_cc(k, n) == _cc_binomial_sum(k, n)
+        assert calls == []

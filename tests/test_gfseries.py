@@ -1,6 +1,7 @@
 """Polynomial arithmetic and generating-function coefficient extraction,
 cross-checked against naive truncated long division."""
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,12 @@ def test_one_minus_t_pow_binomial_coefficients():
         one_minus_t_pow(-1)
 
 
+def test_one_minus_t_pow_matches_binomial_rows():
+    # the row is built by a ratio walk; check it against math.comb
+    for e in range(401):
+        assert one_minus_t_pow(e) == tuple((-1) ** i * comb(e, i) for i in range(e + 1))
+
+
 @given(st.integers(min_value=0, max_value=60))
 def test_one_minus_t_pow_equals_repeated_product(e):
     assert one_minus_t_pow(e) == poly_pow((1, -1), e)
@@ -99,6 +106,8 @@ def test_gf_coeffs_geometric():
 def test_gf_coeffs_requires_unit_constant_term():
     with pytest.raises(ValueError):
         gf_coeffs(RationalGF((1,), (2, 1)), 3)
+    with pytest.raises(ValueError):
+        gf_coeff(RationalGF((1,), (2, 1)), 3)
 
 
 def test_gf_coeffs_matches_long_division():
@@ -108,6 +117,29 @@ def test_gf_coeffs_matches_long_division():
         divided = _long_division(gf.num, gf.den, 25)
         assert [Fraction(c) for c in exact] == divided
         assert all(isinstance(c, int) for c in exact)
+        assert [gf_coeff(gf, n) for n in range(26)] == exact
+
+
+@given(
+    lead=st.integers(min_value=0, max_value=20),
+    num=st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=12),
+    e=st.integers(min_value=1, max_value=60),
+    n=st.integers(min_value=-3, max_value=80),
+)
+def test_gf_coeff_binomial_sum_matches_expansion(lead, num, e, n):
+    # the single-coefficient sum over num/(1-t)^e against the whole prefix;
+    # the numerator may start with zeros, and n may fall before its first
+    # nonzero index or outside the series
+    gf = RationalGF((0,) * lead + tuple(num), one_minus_t_pow(e))
+    expected = gf_coeffs(gf, n)[n] if n >= 0 else 0
+    assert gf_coeff(gf, n) == expected
+
+
+def test_gf_coeff_before_the_first_nonzero_term():
+    gf = RationalGF(monomial(10), one_minus_t_pow(5))
+    assert [gf_coeff(gf, n) for n in range(12)] == [0] * 10 + [1, 5]
+    assert gf_coeff(RationalGF((0, 0, 0), one_minus_t_pow(3)), 4) == 0
+    assert gf_coeff(RationalGF((0, 0, 7), one_minus_t_pow(1)), 1) == 0
 
 
 @given(
@@ -211,6 +243,12 @@ def test_gf_R():
     assert gf_coeff(gf_R(3), 8) == 126
     with pytest.raises(ValueError):
         gf_R(0)
+
+
+def test_gf_R_is_the_literal_square_of_gf_C():
+    for k in range(1, 9):
+        c = gf_C(k - 1)
+        assert gf_R(k) == RationalGF(poly_mul(c.num, c.num), poly_mul(c.den, c.den))
 
 
 def test_gf_R_is_cauchy_square_of_gf_C():
