@@ -35,10 +35,10 @@ MAX_TABLE_CELLS = 200_000
 MAX_WORKERS = 64
 
 _GF_BUILDERS = {
-    "Sk": lambda k: gfseries.gf_S_k(k),
+    "Sk": gfseries.gf_S_k,
     "S": lambda k: gfseries.gf_S(),
-    "Ck": lambda k: gfseries.gf_C(k),
-    "Rk": lambda k: gfseries.gf_R(k),
+    "Ck": gfseries.gf_C,
+    "Rk": gfseries.gf_R,
 }
 
 

@@ -25,6 +25,7 @@ generating-function route (count_cc) is the authority everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .combinatorics import binomial
 from .gfseries import RationalGF, gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width
@@ -79,11 +80,11 @@ def alpha_lemma(k: int, u: int) -> int:
     )
 
 
-# (kind, width) -> (series, size of its first query, expanded prefix)
-_SERIES_CACHE: dict[tuple[str, int], tuple[RationalGF, int, list[int]]] = {}
+# (series factory, width) -> (series, size of its first query, expanded prefix)
+_SERIES_CACHE: dict[tuple[Callable[[int], RationalGF], int], tuple[RationalGF, int, list[int]]] = {}
 
 
-def _cached_coeff(kind: str, k: int, gf_factory, n: int) -> int:
+def _cached_coeff(k: int, gf_factory: Callable[[int], RationalGF], n: int) -> int:
     """Coefficient [t^n] of a per-width series, cached per process.
 
     A width's first query builds its series once, keeps it in the cache
@@ -95,15 +96,15 @@ def _cached_coeff(kind: str, k: int, gf_factory, n: int) -> int:
     largest size first (as build_table does), it expands once, at its
     second query. Recomputation on extension is idempotent, so concurrent
     use is safe."""
-    entry = _SERIES_CACHE.get((kind, k))
+    entry = _SERIES_CACHE.get((gf_factory, k))
     if entry is None:
         gf = gf_factory(k)
-        _SERIES_CACHE[(kind, k)] = (gf, n, [])
+        _SERIES_CACHE[(gf_factory, k)] = (gf, n, [])
         return gf_coeff(gf, n)
     gf, first, coeffs = entry
     if n >= len(coeffs):
         coeffs = gf_coeffs(gf, max(n, first, 2 * len(coeffs), 32))
-        _SERIES_CACHE[(kind, k)] = (gf, first, coeffs)
+        _SERIES_CACHE[(gf_factory, k)] = (gf, first, coeffs)
     return coeffs[n]
 
 
@@ -113,7 +114,7 @@ def count_cc(k: int, n: int) -> int:
     width's first query is one binomial sum, later ones read its cached
     expansion. Zero when n < k, without building the series."""
     _check_width(k)
-    return _cached_coeff("C", k - 1, gf_C, n) if n >= k else 0
+    return _cached_coeff(k - 1, gf_C, n) if n >= k else 0
 
 
 def r_conv(k: int, m: int) -> int:
@@ -129,7 +130,7 @@ def r_gf(k: int, m: int) -> int:
     width's first query is one binomial sum, later ones read its cached
     expansion. Zero when m < 2k, without building the series."""
     _check_width(k)
-    return _cached_coeff("R", k, gf_R, m) if m >= 2 * k else 0
+    return _cached_coeff(k, gf_R, m) if m >= 2 * k else 0
 
 
 @dataclass

@@ -24,12 +24,12 @@ Directedness is decided by literal reachability search: North/East unit
 steps in 2D from the bottom cell of the leftmost column, and
 East/North/Ahead unit steps in 3D from the minimal corner of the first
 stratum. iter_dcc, iter_dplateau and is_directed() run that search over
-the whole object. enum_dcc and enum_dplateau run it one slice at a time
-along the same DFS (_count_reachable): no step decreases x, so a slice
-can be reached only from the slices to its left. The first slice is
-searched from the root, each later one from the East step of the previous
-slice's cells, and a prefix is dropped as soon as one of its slices is not
-fully reached. The directed dumps prune the same way (_iter_reachable).
+the whole object. One reach rule (_reached) runs it one slice at a time
+and feeds both DFS walks, the directed counts and the directed dumps: no
+step decreases x, so the first slice is searched from the root, each later
+one from the East step of the previous slice's cells, a prefix is dropped
+as soon as one of its slices is not fully reached, and no first slice's
+map is kept.
 
 One rule per family (_first_columns, _first_strata) generates the
 normalized first slices an object can start with, in DFS order. The
@@ -254,11 +254,14 @@ def _count_slices(first_slices, successors, tail, k: int, size: int, firsts: Ite
     """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
     yields, by the same DFS counting instead of yielding: successors places
     every slice but the last two at each of its offsets, and tail(prev,
-    slices_left, size_left) counts the ways to end it with 1 or 2 more."""
+    slices_left, size_left) counts the ways to end it with 1 or 2 more.
+    With tail None, successors places every slice."""
 
     def rec(prev: tuple, slices_left: int, size_left: int) -> int:
-        if slices_left <= 2:
-            return tail(prev, slices_left, size_left) if slices_left else 1
+        if slices_left == 0:
+            return 1
+        if tail and slices_left <= 2:
+            return tail(prev, slices_left, size_left)
         total = 0
         for nxt, used in successors(prev, slices_left, size_left):
             total += rec(nxt, slices_left - 1, size_left - used)
@@ -329,59 +332,45 @@ def _slice_reached(steps: dict, seeds) -> bool:
     return len(seen) == len(steps)
 
 
-def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterable | None = None) -> int:
-    """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
-    yields that are directed, by the same reachability search staged slice
-    by slice. No East, North or Ahead step decreases x, so the cells of a
-    slice can be reached only from the slices to its left: the first slice
-    is searched from its minimal cell (the root), each later one from the
-    East step of the previous slice's cells, and a prefix is dropped as
-    soon as one of its slices is not fully reached. Each first slice is
-    visited once, so only later slices' steps are kept, once per call."""
+def _reached(first_slices, successors, k: int, size: int, firsts: Iterable | None = None):
+    """The reachability search of the directed families, staged slice by
+    slice along the DFS of _iter_slices(first_slices, successors, k, size,
+    firsts). No East, North or Ahead step decreases x, so the cells of a
+    slice can be reached only from the slices to its left. Returns the
+    first slices fully reached from their minimal cell (the root) and a
+    successor rule that yields only the slices fully reached from the East
+    step of the previous slice's cells, so either DFS drops a prefix as soon
+    as one of its slices is not. Only later slices' steps are kept, once per
+    call; a first slice's are built again when its successors are listed."""
     known: dict[tuple, dict] = {}  # later slice -> _slice_steps(slice)
 
-    def steps_of(s: tuple) -> dict:
-        steps = known.get(s)
-        if steps is None:
-            steps = known[s] = _slice_steps(s)
-        return steps
-
-    def rec(prev_steps: dict, prev: tuple, slices_left: int, size_left: int) -> int:
-        if slices_left == 0:
-            return 1
-        total = 0
+    def reached_successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
+        prev_cells = (known.get(prev) or _slice_steps(prev)).keys()
         for nxt, used in successors(prev, slices_left, size_left):
-            steps = steps_of(nxt)
-            if _slice_reached(steps, steps.keys() & prev_steps.keys()):
-                total += rec(steps, nxt, slices_left - 1, size_left - used)
-        return total
+            steps = known.get(nxt)
+            if steps is None:
+                steps = known[nxt] = _slice_steps(nxt)
+            if _slice_reached(steps, steps.keys() & prev_cells):
+                yield nxt, used
 
-    total = 0
-    for first in first_slices(k, size) if firsts is None else firsts:
-        steps = _slice_steps(first)
-        if _slice_reached(steps, [first[::2]]):
-            total += rec(steps, first, k - 1, size - sum(first[1::2]))
-    return total
+    reached_firsts = (first for first in (first_slices(k, size) if firsts is None else firsts)
+                      if _slice_reached(_slice_steps(first), [first[::2]]))
+    return reached_firsts, reached_successors
+
+
+def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterable | None = None) -> int:
+    """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
+    yields that are directed: the counting DFS over the slices _reached
+    reaches."""
+    reached_firsts, reached_successors = _reached(first_slices, successors, k, size, firsts)
+    return _count_slices(first_slices, reached_successors, None, k, size, reached_firsts)
 
 
 def _iter_reachable(first_slices, successors, k: int, size: int) -> Iterator[tuple]:
     """The directed tuples of _iter_slices(first_slices, successors, k,
-    size), in its order: the same DFS over only the slices that the
-    slice-staged search of _count_reachable reaches fully from the slice
-    before, so a prefix is dropped as soon as one of its slices is not."""
-    steps_of = lru_cache(maxsize=None)(_slice_steps)
-
-    def reached_firsts(k: int, size: int) -> Iterator[tuple]:
-        return (first for first in first_slices(k, size) if _slice_reached(steps_of(first), [first[::2]]))
-
-    def reached_successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
-        prev_cells = steps_of(prev).keys()
-        for nxt, used in successors(prev, slices_left, size_left):
-            steps = steps_of(nxt)
-            if _slice_reached(steps, steps.keys() & prev_cells):
-                yield nxt, used
-
-    return _iter_slices(reached_firsts, reached_successors, k, size)
+    size), in its order: the same DFS over the slices _reached reaches."""
+    reached_firsts, reached_successors = _reached(first_slices, successors, k, size)
+    return _iter_slices(first_slices, reached_successors, k, size, reached_firsts)
 
 
 def iter_cc(k: int, n: int) -> Iterator[ColumnConvexPoly]:

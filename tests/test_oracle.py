@@ -3,6 +3,7 @@ routes, projections, directedness, and the dump format."""
 import io
 import tracemalloc
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +17,13 @@ from polylat.oracle import (
     _cc_is_directed,
     _columns_tail,
     _count_columns,
+    _count_reachable,
     _count_slices,
     _count_strata,
     _first_columns,
     _first_strata,
     _iter_columns,
+    _iter_slices,
     _iter_strata,
     _next_columns,
     _next_strata,
@@ -223,6 +226,11 @@ def test_counting_dfs_passes_tails_their_domain():
             if size >= 2 * k:
                 assert _count_slices(_first_strata, _next_strata, checked(_strata_tail, 2), k, size) == \
                     enum_plateau(k, size)
+    # with no tail the DFS places every slice, as the iterators do
+    for first, nxt in ((_first_columns, _next_columns), (_first_strata, _next_strata)):
+        for k in range(1, 5):
+            for size in range(13):
+                assert _count_slices(first, nxt, None, k, size) == len(list(_iter_slices(first, nxt, k, size)))
     # outside the domain the forms are not the (empty) sums
     assert _columns_tail((0, 2), 2, 0) != columns_two_sum(2, 0)
     assert _strata_tail((0, 2, 0, 2), 1, 0) != last_stratum_sum(2, 2, 0)
@@ -318,6 +326,15 @@ def test_workers_partitioning_matches_serial():
     assert enum_plateau(3, 8, workers=2) == enum_plateau(3, 8)
     assert enum_plateau(3, 9, workers=2) == enum_plateau(3, 9) == 666
     assert enum_dplateau(2, 7, workers=2) == enum_dplateau(2, 7)
+    # the staged search over strided shares of the first slices, as the pool
+    # tasks run it, sums to the serial count
+    for first, nxt, enum, unit in ((_first_columns, _next_columns, enum_dcc, 1),
+                                   (_first_strata, _next_strata, enum_dplateau, 2)):
+        for k in range(1, 5):
+            for size in range(unit * k, 12):
+                for shares in (2, 3):
+                    assert sum(_count_reachable(first, nxt, k, size, islice(first(k, size), share, None, shares))
+                               for share in range(shares)) == enum(k, size), (k, size, shares)
 
 
 def test_project():
@@ -436,10 +453,16 @@ def test_staged_count_matches_whole_object_filter():
 
 def test_staged_count_keeps_no_first_slice():
     # every first stratum of a width-1 cell is visited once; keeping their
-    # cell maps would grow with the cube of the lateral area
+    # cell maps would grow with the cube of the lateral area, in the count
+    # and in the dump alike (its lines go to a sink that keeps none)
+    class WriteOnlySink:
+        def write(self, line):
+            pass
+
     tracemalloc.start()
     try:
         assert enum_dplateau(1, 60) == 59
+        assert dump_objects("dplateau", 1, 60, WriteOnlySink()) == 59
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
