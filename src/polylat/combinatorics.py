@@ -51,9 +51,6 @@ class TriangleTable:
 
     rows: tuple[tuple[int, ...], ...]
 
-    def row(self, s: int) -> tuple[int, ...]:
-        return self.rows[s]
-
 
 def tribonacci_triangle(depth: int) -> TriangleTable:
     """Rows 0..depth of the triangle whose entry (s, t) is D(s-t, t).

@@ -26,10 +26,11 @@ East/North/Ahead unit steps in 3D from the minimal corner of the first
 stratum. iter_dcc, iter_dplateau and is_directed() run that search over
 the whole object. One reach rule (_reached) runs it one slice at a time
 and feeds both DFS walks, the directed counts and the directed dumps: no
-step decreases x, so the first slice is searched from the root, each later
-one from the East step of the previous slice's cells, a prefix is dropped
-as soon as one of its slices is not fully reached, and no first slice's
-map is kept.
+step decreases x, so each later slice is searched from the East step of
+the previous slice's cells, and a prefix is dropped as soon as one of its
+slices is not fully reached. A first slice is not searched: it is a box,
+which North and Ahead steps from the root cover. Each slice's steps are
+built once per call, and a width-1 cell builds none.
 
 One rule per family (_first_columns, _first_strata) generates the
 normalized first slices an object can start with, in DFS order. The
@@ -332,45 +333,38 @@ def _slice_reached(steps: dict, seeds) -> bool:
     return len(seen) == len(steps)
 
 
-def _reached(first_slices, successors, k: int, size: int, firsts: Iterable | None = None):
-    """The reachability search of the directed families, staged slice by
-    slice along the DFS of _iter_slices(first_slices, successors, k, size,
-    firsts). No East, North or Ahead step decreases x, so the cells of a
-    slice can be reached only from the slices to its left. Returns the
-    first slices fully reached from their minimal cell (the root) and a
-    successor rule that yields only the slices fully reached from the East
-    step of the previous slice's cells, so either DFS drops a prefix as soon
-    as one of its slices is not. Only later slices' steps are kept, once per
-    call; a first slice's are built again when its successors are listed."""
-    known: dict[tuple, dict] = {}  # later slice -> _slice_steps(slice)
+def _reached(successors):
+    """The successor rule of the directed families' reachability search,
+    staged slice by slice: it yields only the slices fully reached from the
+    East step of the previous slice's cells. No East, North or Ahead step
+    decreases x, so the cells of a slice can be reached only from the slices
+    to its left, and either DFS drops a prefix as soon as one of its slices
+    is not. First slices are not searched: a first slice is a box, and North
+    and Ahead steps from its minimal cell (the root) cover it. Each slice's
+    steps are built once per call."""
+    known: dict[tuple, dict] = {}  # slice -> _slice_steps(slice), never empty
 
     def reached_successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
-        prev_cells = (known.get(prev) or _slice_steps(prev)).keys()
+        prev_cells = (known.get(prev) or known.setdefault(prev, _slice_steps(prev))).keys()
         for nxt, used in successors(prev, slices_left, size_left):
-            steps = known.get(nxt)
-            if steps is None:
-                steps = known[nxt] = _slice_steps(nxt)
+            steps = known.get(nxt) or known.setdefault(nxt, _slice_steps(nxt))
             if _slice_reached(steps, steps.keys() & prev_cells):
                 yield nxt, used
 
-    reached_firsts = (first for first in (first_slices(k, size) if firsts is None else firsts)
-                      if _slice_reached(_slice_steps(first), [first[::2]]))
-    return reached_firsts, reached_successors
+    return reached_successors
 
 
 def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterable | None = None) -> int:
     """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
     yields that are directed: the counting DFS over the slices _reached
     reaches."""
-    reached_firsts, reached_successors = _reached(first_slices, successors, k, size, firsts)
-    return _count_slices(first_slices, reached_successors, None, k, size, reached_firsts)
+    return _count_slices(first_slices, _reached(successors), None, k, size, firsts)
 
 
 def _iter_reachable(first_slices, successors, k: int, size: int) -> Iterator[tuple]:
     """The directed tuples of _iter_slices(first_slices, successors, k,
     size), in its order: the same DFS over the slices _reached reaches."""
-    reached_firsts, reached_successors = _reached(first_slices, successors, k, size)
-    return _iter_slices(first_slices, reached_successors, k, size, reached_firsts)
+    return _iter_slices(first_slices, _reached(successors), k, size)
 
 
 def iter_cc(k: int, n: int) -> Iterator[ColumnConvexPoly]:

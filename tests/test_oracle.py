@@ -28,6 +28,8 @@ from polylat.oracle import (
     _next_columns,
     _next_strata,
     _plateau_is_directed,
+    _slice_reached,
+    _slice_steps,
     _strata_tail,
     dump_objects,
     enum_cc,
@@ -326,6 +328,7 @@ def test_workers_partitioning_matches_serial():
     assert enum_plateau(3, 8, workers=2) == enum_plateau(3, 8)
     assert enum_plateau(3, 9, workers=2) == enum_plateau(3, 9) == 666
     assert enum_dplateau(2, 7, workers=2) == enum_dplateau(2, 7)
+    assert enum_dplateau(1, 9, workers=2) == 8
     # the staged search over strided shares of the first slices, as the pool
     # tasks run it, sums to the serial count
     for first, nxt, enum, unit in ((_first_columns, _next_columns, enum_dcc, 1),
@@ -451,10 +454,10 @@ def test_staged_count_matches_whole_object_filter():
             assert enum_dplateau(k, m) == sum(map(_plateau_is_directed, _iter_strata(k, m))), (k, m)
 
 
-def test_staged_count_keeps_no_first_slice():
-    # every first stratum of a width-1 cell is visited once; keeping their
-    # cell maps would grow with the cube of the lateral area, in the count
-    # and in the dump alike (its lines go to a sink that keeps none)
+def test_width_one_directed_cell_builds_no_map():
+    # a width-1 cell is its first stratum alone, which is never searched, so
+    # neither the count nor the dump (its lines go to a sink that keeps
+    # none) builds a cell map, whose size would grow with the lateral area
     class WriteOnlySink:
         def write(self, line):
             pass
@@ -467,6 +470,38 @@ def test_staged_count_keeps_no_first_slice():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_no_step_map_is_built_twice(monkeypatch):
+    built = []
+
+    def recording_steps(s):
+        built.append(s)
+        return _slice_steps(s)
+
+    monkeypatch.setattr(oracle, "_slice_steps", recording_steps)
+    for family, enum, unit, width_one in (("dcc", enum_dcc, 1, 1), ("dplateau", enum_dplateau, 2, 39)):
+        # none at width 1
+        built.clear()
+        assert enum(1, 40, workers=1) == dump_objects(family, 1, 40, io.StringIO()) == width_one
+        assert built == [], family
+        for k in range(2, 5):
+            for size in range(unit * k, 13):
+                for run in (lambda: enum(k, size, workers=1),
+                            lambda: dump_objects(family, k, size, io.StringIO())):
+                    built.clear()
+                    run()
+                    assert len(built) == len(set(built)), (family, k, size)
+
+
+def test_first_slices_are_reached_from_their_root():
+    # the reach rule searches no first slice: North (and Ahead) steps from
+    # its minimal cell cover it
+    for first_slices in (_first_columns, _first_strata):
+        for k in range(1, 5):
+            for size in range(15):
+                for first in first_slices(k, size):
+                    assert _slice_reached(_slice_steps(first), [first[::2]]), first
 
 
 def test_staged_count_matches_search_from_every_root():
