@@ -29,8 +29,14 @@ and feeds both DFS walks, the directed counts and the directed dumps: no
 step decreases x, so each later slice is searched from the East step of
 the previous slice's cells, and a prefix is dropped as soon as one of its
 slices is not fully reached. A first slice is not searched: it is a box,
-which North and Ahead steps from the root cover. Each slice's steps are
-built once per call, and a width-1 cell builds none.
+which North and Ahead steps from the root cover. Steps do not depend on
+where a slice sits, so one step map is built per slice extents, at the
+origin, once per call, and a width-1 cell builds none. For the same
+reason the directed counts end like the others, with a tail rule for the
+last two slices: later slices are placed relative to a fully reached
+slice, so the ways to end below it depend only on its extents and the
+size left; they are searched once per shape and kept for the call. Like
+the closed-form tails, it stops at two slices.
 
 One rule per family (_first_columns, _first_strata) generates the
 normalized first slices an object can start with, in DFS order. The
@@ -333,6 +339,13 @@ def _slice_reached(steps: dict, seeds) -> bool:
     return len(seen) == len(steps)
 
 
+def _overlap(lo: int, ext: int, prev_lo: int, prev_ext: int) -> range:
+    """The cells of the axis interval [lo, lo + ext) that lie in the
+    previous slice's [prev_lo, prev_lo + prev_ext), counted from lo."""
+    hi = prev_lo + prev_ext - lo
+    return range(prev_lo - lo if prev_lo > lo else 0, hi if hi < ext else ext)
+
+
 def _reached(successors):
     """The successor rule of the directed families' reachability search,
     staged slice by slice: it yields only the slices fully reached from the
@@ -340,15 +353,20 @@ def _reached(successors):
     decreases x, so the cells of a slice can be reached only from the slices
     to its left, and either DFS drops a prefix as soon as one of its slices
     is not. First slices are not searched: a first slice is a box, and North
-    and Ahead steps from its minimal cell (the root) cover it. Each slice's
-    steps are built once per call."""
-    known: dict[tuple, dict] = {}  # slice -> _slice_steps(slice), never empty
+    and Ahead steps from its minimal cell (the root) cover it. Steps do not
+    depend on where a slice sits, so one map per slice extents is built, at
+    the origin, once per call: a successor is searched in the map of its
+    extents, seeded with its cells one East step from prev, the box where
+    the two slices overlap on every axis, shifted to the successor's origin."""
+    known: dict[tuple, dict] = {}  # extents -> _slice_steps at the origin, never empty
 
     def reached_successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
-        prev_cells = (known.get(prev) or known.setdefault(prev, _slice_steps(prev))).keys()
+        prev_los, prev_exts = prev[::2], prev[1::2]
         for nxt, used in successors(prev, slices_left, size_left):
-            steps = known.get(nxt) or known.setdefault(nxt, _slice_steps(nxt))
-            if _slice_reached(steps, steps.keys() & prev_cells):
+            extents = nxt[1::2]
+            steps = known.get(extents) or known.setdefault(
+                extents, _slice_steps(tuple(v for ext in extents for v in (0, ext))))
+            if _slice_reached(steps, product(*map(_overlap, nxt[::2], extents, prev_los, prev_exts))):
                 yield nxt, used
 
     return reached_successors
@@ -357,8 +375,26 @@ def _reached(successors):
 def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterable | None = None) -> int:
     """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
     yields that are directed: the counting DFS over the slices _reached
-    reaches."""
-    return _count_slices(first_slices, _reached(successors), None, k, size, firsts)
+    reaches, with the last two slices counted once per shape. The DFS
+    reaches a slice only when it is fully reached, successors are placed
+    relative to its offsets, and steps do not depend on where a slice
+    sits, so the ways to end below it with 1 or 2 slices depend only on
+    its extents and the size left; the tail searches them once per
+    (extents, slices left, size left) and keeps the count for the call.
+    Like _columns_tail and _strata_tail it stops at two slices."""
+    reached = _reached(successors)
+    ends: dict[tuple, int] = {}  # (prev extents, slices left, size left) -> count
+
+    def tail(prev: tuple, slices_left: int, size_left: int) -> int:
+        key = (prev[1::2], slices_left, size_left)
+        count = ends.get(key)
+        if count is None:
+            count = ends[key] = sum(
+                1 if slices_left == 1 else tail(nxt, 1, size_left - used)
+                for nxt, used in reached(prev, slices_left, size_left))
+        return count
+
+    return _count_slices(first_slices, reached, tail, k, size, firsts)
 
 
 def _iter_reachable(first_slices, successors, k: int, size: int) -> Iterator[tuple]:
@@ -461,12 +497,15 @@ def unproject(a: ColumnConvexPoly, b: ColumnConvexPoly) -> PlateauPolycube:
 
 def is_face_connected(cells) -> bool:
     """6-neighbour connectivity of a set of integer voxel triples."""
-    cells = set(cells)
-    if not cells:
+    return _drain_connected(set(cells))
+
+
+def _drain_connected(todo: set) -> bool:
+    """Whether the voxel set todo is nonempty and face-connected. Empties
+    todo: the search takes each cell out as it reaches it."""
+    if not todo:
         return False
-    start = next(iter(cells))
-    seen = {start}
-    frontier = [start]
+    frontier = [todo.pop()]
     while frontier:
         x, y, z = frontier.pop()
         for nxt in (
@@ -474,10 +513,10 @@ def is_face_connected(cells) -> bool:
             (x, y + 1, z), (x, y - 1, z),
             (x, y, z + 1), (x, y, z - 1),
         ):
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
+            if nxt in todo:
+                todo.remove(nxt)
                 frontier.append(nxt)
-    return len(seen) == len(cells)
+    return not todo
 
 
 def lateral_area_voxels(cells) -> int:
@@ -487,11 +526,10 @@ def lateral_area_voxels(cells) -> int:
     cells = set(cells)
     if not cells:
         raise ValueError("voxel set is empty")
-    if not is_face_connected(cells):
+    lateral = len({(x, y) for x, y, _ in cells}) + len({(x, z) for x, _, z in cells})
+    if not _drain_connected(cells):
         raise ValueError("voxel set is not face-connected")
-    xy = {(x, y) for x, y, _ in cells}
-    xz = {(x, z) for x, _, z in cells}
-    return len(xy) + len(xz)
+    return lateral
 
 
 # Plain-text object dump: one object per line. A column-convex polyomino is

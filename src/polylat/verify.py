@@ -219,6 +219,21 @@ def suite_bijection() -> RunReport:
     area <= 10: round trips, the pairing count, directedness transfer, and
     lateral-area additivity."""
     report = RunReport("bijection")
+    # projections repeat across polycubes and pairings: each is searched and
+    # generated once per run; every polycube is still searched whole
+    directed: dict[oracle.ColumnConvexPoly, bool] = {}
+    polys: dict[tuple[int, int], list[oracle.ColumnConvexPoly]] = {}
+
+    def is_directed(poly: oracle.ColumnConvexPoly) -> bool:
+        if poly not in directed:
+            directed[poly] = poly.is_directed()
+        return directed[poly]
+
+    def polyominoes(k: int, area: int) -> list[oracle.ColumnConvexPoly]:
+        if (k, area) not in polys:
+            polys[k, area] = list(oracle.iter_cc(k, area))
+        return polys[k, area]
+
     for k in range(1, 4):
         for m in range(2 * k, 11):
             generated = set()
@@ -233,14 +248,14 @@ def suite_bijection() -> RunReport:
                     area_ok = False
                 if oracle.lateral_area_voxels(p.cells()) != p.lateral_area:
                     area_ok = False
-                if p.is_directed() != (a.is_directed() and b.is_directed()):
+                if p.is_directed() != (is_directed(a) and is_directed(b)):
                     directed_ok = False
                 generated.add(p)
             # explicit pairing: every ordered pair of projections, unprojected
             paired = {
                 oracle.unproject(a, b)
                 for i in range(k, m - k + 1)
-                for a, b in product(oracle.iter_cc(k, i), oracle.iter_cc(k, m - i))
+                for a, b in product(polyominoes(k, i), polyominoes(k, m - i))
             }
             if paired != generated:
                 pairing_ok = False

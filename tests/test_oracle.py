@@ -28,6 +28,7 @@ from polylat.oracle import (
     _next_columns,
     _next_strata,
     _plateau_is_directed,
+    _reached,
     _slice_reached,
     _slice_steps,
     _strata_tail,
@@ -492,6 +493,48 @@ def test_no_step_map_is_built_twice(monkeypatch):
                     built.clear()
                     run()
                     assert len(built) == len(set(built)), (family, k, size)
+                    # one map per extents, built at the origin
+                    assert all(not any(s[::2]) for s in built), (family, k, size)
+
+
+def shifted(s, offsets):
+    # the slice s moved by offsets, one per axis
+    return tuple(v + offsets[i // 2] if i % 2 == 0 else v for i, v in enumerate(s))
+
+
+@settings(deadline=None)
+@given(data=st.data(), slices_left=st.integers(1, 4), size_left=st.integers(2, 12))
+def test_reached_successors_move_with_their_slice(data, slices_left, size_left):
+    # the fact the memoized tail rests on: shifting prev shifts its reached
+    # successors the same way, and yields no other
+    for successors, axes in ((_next_columns, 1), (_next_strata, 2)):
+        extent, offset = st.integers(1, 6), st.integers(-8, 8)
+        prev = tuple(data.draw(st.tuples(*(strategy for _ in range(axes) for strategy in (offset, extent)))))
+        shift = data.draw(st.tuples(*(offset for _ in range(axes))))
+        here = list(_reached(successors)(prev, slices_left, size_left))
+        moved = list(_reached(successors)(shifted(prev, shift), slices_left, size_left))
+        assert moved == [(shifted(nxt, shift), used) for nxt, used in here], (prev, shift)
+
+
+def test_memoized_tail_matches_plain_staged_search():
+    # the last two slices counted once per shape against every slice placed
+    for first, successors, k_max, size_max in ((_first_columns, _next_columns, 6, 16),
+                                               (_first_strata, _next_strata, 5, 14)):
+        for k in range(1, k_max + 1):
+            for size in range(size_max + 1):
+                plain = _count_slices(first, _reached(successors), None, k, size)
+                assert _count_reachable(first, successors, k, size) == plain, (successors, k, size)
+
+
+def test_step_maps_are_bounded_by_the_extents():
+    # the maps and the tail's counts are kept per shape, not per placed slice
+    tracemalloc.start()
+    try:
+        assert enum_dplateau(2, 14) == 3003
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_first_slices_are_reached_from_their_root():
