@@ -109,7 +109,9 @@ def cmd_count(args, parser) -> int:
 
 
 def _table_rows(table) -> list[list[int]]:
-    return [[size] + table.row(size) for size in table.sizes()]
+    # one transpose of the width columns, from the least size on
+    start = table.size_min
+    return [[size, *cells] for size, cells in zip(table.sizes(), zip(*(column[start:] for column in table.columns)))]
 
 
 def cmd_table(args, parser) -> int:

@@ -12,7 +12,8 @@ ROUTES maps each family to its routes, each a counter(k, size): at least
 two independent formula routes (closed form, convolution, generating
 function), then the brute-force geometric route of the oracle module,
 which also takes workers=. The first route is the family's authoritative
-one, used by build_table and by default on the command line.
+one: the command line's default, and the source of build_table's seed
+widths.
 Out-of-support inputs return 0 rather than raising, because the
 convolutions range freely and rely on vanishing terms. Only structurally
 meaningless arguments (width < 1, unknown family) raise.
@@ -21,14 +22,42 @@ The triple-binomial formula published for the column-convex counts
 (alpha_lemma below) does not reproduce the published table of first values;
 it is kept verbatim so the disagreement can be demonstrated, while the
 generating-function route (count_cc) is the authority everywhere else.
+
+Consecutive widths are tied by short recurrences (WIDTH_RECURRENCE). With
+P = 1-t, the width-w series are
+
+    dcc       A_w = t^w / P^(2w-1)
+    dplateau  S_w = t^(2w) / P^(4w-2)
+    cc        F_w = t^w N_(w-1) / P^(2w-1), N_j the j-th Delannoy anti-diagonal
+    plateau   G_w = F_w^2, the squares of the cc series
+
+so A_(w+1) = t/P^2 A_w and S_(w+1) = t^2/P^4 S_w. The anti-diagonals obey
+N_(j+1) = (1+t) N_j + t N_(j-1), with N_0 = 1 and N_(-1) = 0; taken at
+j = w-1 and multiplied by t^(w+1)/P^(2w+1), this gives
+
+    F_(w+1) = a F_w + b F_(w-1),   a = t(1+t)/P^2,  b = t^3/P^4.
+
+If x, y are the roots of z^2 = a z + b (x + y = a, xy = -b), each F_w is
+a combination of x^w and y^w, so G_w is one of x^(2w), (xy)^w and y^(2w).
+Their ratios x^2, xy, y^2 have elementary symmetric functions
+
+    e1 = x^2 + xy + y^2         = a^2 + b      =  t^2 (1+3t+t^2) / P^4
+    e2 = xy (x^2 + xy + y^2)    = -a^2 b - b^2 = -t^5 (1+3t+t^2) / P^8
+    e3 = (xy)^3                 = -b^3         = -t^9 / P^12
+
+and G_(w+1) = e1 G_w - e2 G_(w-1) + e3 G_(w-2). (The identity holds for
+any sequence with the order-2 recurrence, repeated roots included: it is
+a polynomial identity in F_(w-2), F_(w-1), a and b.)
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import add
 from typing import Callable
 
 from .combinatorics import binomial
-from .gfseries import RationalGF, gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width
+from .gfseries import Poly, RationalGF, gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width
 from .oracle import enum_cc, enum_dcc, enum_dplateau, enum_plateau
 
 
@@ -93,9 +122,9 @@ def _cached_coeff(k: int, gf_factory: Callable[[int], RationalGF], n: int) -> in
     query expands the kept series from term 0 to the largest of n, the
     first query's size, twice the expanded length and 32. So a width asked
     for sizes in increasing order expands about log2(n) times; asked for its
-    largest size first (as build_table does), it expands once, at its
-    second query. Recomputation on extension is idempotent, so concurrent
-    use is safe."""
+    largest size first (as build_table asks for its seed widths), it
+    expands once, at its second query. Recomputation on extension is
+    idempotent, so concurrent use is safe."""
     entry = _SERIES_CACHE.get((gf_factory, k))
     if entry is None:
         gf = gf_factory(k)
@@ -135,20 +164,23 @@ def r_gf(k: int, m: int) -> int:
 
 @dataclass
 class FamilyTable:
-    """Counts of one family indexed by (width k, size): a full rectangle of
-    values, zero outside the family's support."""
+    """Counts of one family indexed by (width k, size): columns[k-1][size]
+    for sizes 0..size_max, zero outside the family's support and outside
+    the rectangle."""
 
     family: str
     k_max: int
     size_max: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    columns: list[list[int]]
 
     @property
     def size_min(self) -> int:
         return SIZE_UNIT[self.family]
 
     def value(self, k: int, size: int) -> int:
-        return self.entries.get((k, size), 0)
+        if 1 <= k <= self.k_max and 0 <= size <= self.size_max:
+            return self.columns[k - 1][size]
+        return 0
 
     def sizes(self) -> range:
         return range(self.size_min, self.size_max + 1)
@@ -170,6 +202,18 @@ def _dplateau_gf(k: int, m: int) -> int:
 # a column has area >= 1, a stratum lateral area (height + depth) >= 2.
 SIZE_UNIT = {"dcc": 1, "cc": 1, "dplateau": 2, "plateau": 2}
 
+# Each family's width recurrence (derived in the module docstring): the
+# width-(w+1) series is sum_j num_j / (1-t)^e_j * (width w-j series), for the
+# (num_j, e_j) listed here, j = 0, 1, ...; e_j never decreases. As many
+# widths as there are terms are seeds, taken from the authoritative route.
+WIDTH_RECURRENCE: dict[str, tuple[tuple[Poly, int], ...]] = {
+    "dcc": (((0, 1), 2),),  # t/P^2
+    "cc": (((0, 1, 1), 2), ((0, 0, 0, 1), 4)),  # a = t(1+t)/P^2, b = t^3/P^4
+    "dplateau": (((0, 0, 1), 4),),  # t^2/P^4
+    # e1 = t^2(1+3t+t^2)/P^4, -e2 = t^5(1+3t+t^2)/P^8, e3 = -t^9/P^12
+    "plateau": (((0, 0, 1, 3, 1), 4), ((0, 0, 0, 0, 0, 1, 3, 1), 8), ((0,) * 9 + (-1,), 12)),
+}
+
 ROUTES = {
     "dcc": {"closed": count_dcc, "gf": _dcc_gf, "oracle": enum_dcc},
     "cc": {"gf": count_cc, "oracle": enum_cc},
@@ -179,20 +223,42 @@ ROUTES = {
 FAMILIES = tuple(ROUTES)
 
 
+def _next_width(recurrence: tuple[tuple[Poly, int], ...], columns: list[list[int]]) -> list[int]:
+    """The next width's coefficient column from the last len(recurrence)
+    columns. The recurrence's sum is taken in Horner form, innermost term
+    first: add num_j times its column, then divide by (1-t)^(e_j - e_(j-1))
+    as that many rounds of prefix sums. So a width costs max e_j rounds in
+    all, and every truncated prefix stays exact."""
+    column = [0] * len(columns[-1])
+    for j in reversed(range(len(recurrence))):
+        num, e = recurrence[j]
+        source = columns[-1 - j]
+        for i, c in enumerate(num):
+            if c:
+                column[i:] = map(add, column[i:], source if c == 1 else [c * x for x in source])
+        for _ in range(e - (recurrence[j - 1][1] if j else 0)):
+            column = list(accumulate(column))
+    return column
+
+
 def build_table(family: str, k_max: int, size_max: int) -> FamilyTable:
-    """Populate a FamilyTable with the family's authoritative route, the
-    first in ROUTES (dcc: closed form; cc: generating function; dplateau:
-    closed form; plateau: generating function). Each width is filled from
-    its largest size down, so a cached series expands once per width.
-    Deterministic regardless of evaluation order, since every cell is a
-    pure function of (k, size)."""
+    """Populate a FamilyTable, one coefficient column per width. The first
+    len(WIDTH_RECURRENCE[family]) widths are seeds, cell by cell from the
+    family's authoritative route (the first in ROUTES), each from its
+    largest size down so that a cached series expands once. Every later
+    width comes from the columns before it by the width recurrence: a few
+    short products and prefix-sum rounds, O(size_max) integer operations
+    per width. All arithmetic is exact."""
     if family not in ROUTES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if k_max < 1 or size_max < 1:
         raise ValueError(f"bounds must be >= 1, got k_max={k_max}, size_max={size_max}")
     counter = next(iter(ROUTES[family].values()))
-    table = FamilyTable(family, k_max, size_max)
+    recurrence = WIDTH_RECURRENCE[family]
+    columns: list[list[int]] = []
     for k in range(1, k_max + 1):
-        for size in reversed(table.sizes()):
-            table.entries[(k, size)] = counter(k, size)
-    return table
+        if k <= len(recurrence):
+            columns.append([counter(k, n) for n in range(size_max, -1, -1)][::-1])
+        else:
+            columns.append(_next_width(recurrence, columns))
+    return FamilyTable(family, k_max, size_max, columns)

@@ -10,6 +10,7 @@ from polylat.combinatorics import binomial, delannoy_closed
 from polylat.counting import (
     ROUTES,
     SIZE_UNIT,
+    WIDTH_RECURRENCE,
     alpha_lemma,
     build_table,
     count_cc,
@@ -19,6 +20,7 @@ from polylat.counting import (
     s_closed,
     s_conv,
 )
+from polylat.gfseries import gf_C, gf_dcc_width, gf_R, gf_S_k, one_minus_t_pow, poly_add, poly_mul
 from polylat.reference_tables import (
     CC_TABLE,
     COROLLARY_OFFSETS,
@@ -262,11 +264,14 @@ def test_cells_outside_the_support_expand_nothing(monkeypatch):
 
 
 def test_build_table_cc_past_cache_growths(monkeypatch):
-    # 140 is past the cache's growth steps 32 -> 66 -> 134; the table fills
-    # each width from its largest size down and so expands it once
+    # 140 is past the cache's growth steps 32 -> 66 -> 134; the table asks
+    # count_cc for its two seed widths only, each from its largest size down,
+    # so each expands once; the later widths come from the width recurrence
+    # and touch neither the cache nor the series expansion
     calls = _counting_expansions(monkeypatch)
     table = build_table("cc", 24, 140)
-    assert calls == [140] * 24
+    assert calls == [140] * len(WIDTH_RECURRENCE["cc"])
+    assert set(counting._SERIES_CACHE) == {(gf_C, 0), (gf_C, 1)}
     for k in range(1, 25):
         assert [table.value(k, n) for n in range(1, 141)] == [_cc_binomial_sum(k, n) for n in range(1, 141)]
     # cells asked for in increasing size order grow the cache step by step
@@ -281,9 +286,59 @@ def test_build_table_cc_past_cache_growths(monkeypatch):
 def test_build_table_plateau_past_cache_growths(monkeypatch):
     calls = _counting_expansions(monkeypatch)
     table = build_table("plateau", 12, 140)
-    assert calls == [140] * 12
+    assert calls == [140] * len(WIDTH_RECURRENCE["plateau"])
+    assert set(counting._SERIES_CACHE) == {(gf_R, k) for k in (1, 2, 3)}
     for k in range(1, 13):
         assert [table.value(k, m) for m in range(2, 141)] == [r_conv(k, m) for m in range(2, 141)]
+
+
+# each family's width-w series, for the width recurrence checks
+WIDTH_SERIES = {"dcc": gf_dcc_width, "cc": lambda w: gf_C(w - 1), "dplateau": gf_S_k, "plateau": gf_R}
+
+
+def _over_power_of_one_minus_t(gf):
+    e = len(gf.den) - 1
+    assert gf.den == one_minus_t_pow(e)
+    return gf.num, e
+
+
+@pytest.mark.parametrize("family", sorted(WIDTH_RECURRENCE))
+def test_width_recurrence_is_a_polynomial_identity(family):
+    # series(w+1) = sum_j num_j/(1-t)^e_j * series(w-j), checked on whole
+    # numerators over one common power of 1-t, not on a prefix of terms
+    recurrence = WIDTH_RECURRENCE[family]
+    assert [e for _, e in recurrence] == sorted(e for _, e in recurrence)
+    for w in range(len(recurrence), 31):
+        num, e = _over_power_of_one_minus_t(WIDTH_SERIES[family](w + 1))
+        terms = []
+        for j, (mult, mult_e) in enumerate(recurrence):
+            term_num, term_e = _over_power_of_one_minus_t(WIDTH_SERIES[family](w - j))
+            terms.append((poly_mul(mult, term_num), mult_e + term_e))
+        common = max([e] + [te for _, te in terms])
+        total = ()
+        for term_num, term_e in terms:
+            total = poly_add(total, poly_mul(term_num, one_minus_t_pow(common - term_e)))
+        assert poly_mul(num, one_minus_t_pow(common - e)) == total
+
+
+@pytest.mark.parametrize("family", sorted(ROUTES))
+@pytest.mark.parametrize("k_max, size_max", [(40, 300), (1, 50), (2, 50), (12, 1), (12, 3), (12, 9), (3, 2)])
+def test_build_table_matches_the_first_route_cell_by_cell(family, k_max, size_max):
+    # the small shapes have fewer widths than the recurrence's seeds, or
+    # fewer sizes than its longest multiplier
+    first = next(iter(ROUTES[family].values()))
+    table = build_table(family, k_max, size_max)
+    for k in range(1, k_max + 1):
+        assert [table.value(k, n) for n in range(size_max + 1)] == [first(k, n) for n in range(size_max + 1)]
+
+
+def test_table_value_is_zero_outside_the_rectangle():
+    for family in ROUTES:
+        table = build_table(family, 4, 20)
+        assert table.value(4, 20) > 0
+        assert table.value(0, 10) == table.value(5, 20) == 0
+        assert table.value(2, -1) == table.value(4, 21) == 0
+        assert table.row(21) == table.row(-1) == [0] * 4
 
 
 def test_first_query_expands_nothing_and_the_second_covers_both(monkeypatch):
