@@ -20,23 +20,25 @@ counts the last two in O(1) by closed forms of their per-offset sums. It
 stops at two: summing the earlier slices by extents alone would be the
 transfer-matrix recurrence, a formula route of its own.
 
-Directedness is decided by literal reachability search: North/East unit
-steps in 2D from the bottom cell of the leftmost column, and
-East/North/Ahead unit steps in 3D from the minimal corner of the first
-stratum. iter_dcc, iter_dplateau and is_directed() run that search over
-the whole object. One reach rule (_reached) runs it one slice at a time
-and feeds both DFS walks, the directed counts and the directed dumps: no
-step decreases x, so each later slice is searched from the East step of
-the previous slice's cells, and a prefix is dropped as soon as one of its
-slices is not fully reached. A first slice is not searched: it is a box,
-which North and Ahead steps from the root cover. Steps do not depend on
-where a slice sits, so one step map is built per slice extents, at the
-origin, once per call, and a width-1 cell builds none. For the same
-reason the directed counts end like the others, with a tail rule for the
-last two slices: later slices are placed relative to a fully reached
-slice, so the ways to end below it depend only on its extents and the
-size left; they are searched once per shape and kept for the call. Like
-the closed-form tails, it stops at two slices.
+Directedness is decided by one literal reachability search over the
+whole object (_is_directed): East/North/Ahead unit steps from the minimal
+corner of the first stratum. A column-convex polyomino is searched as the
+depth-1 plateau polycube with strata (b, h, 0, 1): its cells at z = 0 are
+the polyomino's, and no Ahead step lands in it, so the search takes
+exactly the North/East steps of 2D. is_directed(), and so iter_dcc and
+iter_dplateau, run that search. One reach rule (_reached) runs it one
+slice at a time and feeds both DFS walks, the directed counts and the
+directed dumps: no step decreases x, so each later slice is searched from
+the East step of the previous slice's cells, and a prefix is dropped as
+soon as one of its slices is not fully reached. A first slice is not
+searched: it is a box, which North and Ahead steps from the root cover.
+Steps do not depend on where a slice sits, so one step map is built per
+slice extents, at the origin, once per call, and a width-1 cell builds
+none. For the same reason the directed counts end like the others, with a
+tail rule for the last two slices: later slices are placed relative to a
+fully reached slice, so the ways to end below it depend only on its
+extents and the size left; they are searched once per shape and kept for
+the call. Like the closed-form tails, it stops at two slices.
 
 One rule per family (_first_columns, _first_strata) generates the
 normalized first slices an object can start with, in DFS order. The
@@ -94,7 +96,9 @@ class ColumnConvexPoly:
         )
 
     def is_directed(self) -> bool:
-        return _cc_is_directed(self.columns)
+        """Whether the search of _is_directed, run on this polyomino lifted
+        to depth-1 strata, reaches every cell by North and East steps."""
+        return _is_directed(tuple((b, h, 0, 1) for b, h in self.columns))
 
 
 @dataclass(frozen=True)
@@ -125,44 +129,28 @@ class PlateauPolycube:
         return sum(h + d for _, h, _, d in self.plateaus)
 
     def cells(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset(
-            (x, y, z)
-            for x, (y0, h, z0, d) in enumerate(self.plateaus)
-            for y in range(y0, y0 + h)
-            for z in range(z0, z0 + d)
-        )
+        return _strata_cells(self.plateaus)
 
     def is_directed(self) -> bool:
-        return _plateau_is_directed(self.plateaus)
+        return _is_directed(self.plateaus)
 
 
-def _cc_is_directed(cols: tuple[Column, ...]) -> bool:
-    """Reachability of all cells from the bottom cell of the leftmost column
-    using only North and East unit steps."""
-    cells = {(x, y) for x, (b, h) in enumerate(cols) for y in range(b, b + h)}
-    root = (0, cols[0][0])
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        x, y = frontier.pop()
-        for nxt in ((x, y + 1), (x + 1, y)):
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == len(cells)
-
-
-def _plateau_is_directed(plats: tuple[Stratum, ...]) -> bool:
-    """Reachability of all cells from the minimal corner (0, y0, z0) of the
-    first stratum using only East, North and Ahead unit steps. No other
-    root can do better: no step decreases y or z, and the corner reaches
-    every cell of the first stratum, hence everything any of them reaches."""
-    cells = {
+def _strata_cells(plats: tuple[Stratum, ...]) -> frozenset[tuple[int, int, int]]:
+    """The cells (x, y, z) of a stratum tuple, stratum x spanning its box."""
+    return frozenset(
         (x, y, z)
         for x, (y0, h, z0, d) in enumerate(plats)
         for y in range(y0, y0 + h)
         for z in range(z0, z0 + d)
-    }
+    )
+
+
+def _is_directed(plats: tuple[Stratum, ...]) -> bool:
+    """Reachability of all cells from the minimal corner (0, y0, z0) of the
+    first stratum using only East, North and Ahead unit steps. No other
+    root can do better: no step decreases y or z, and the corner reaches
+    every cell of the first stratum, hence everything any of them reaches."""
+    cells = _strata_cells(plats)
     root = (0, plats[0][0], plats[0][2])
     seen = {root}
     frontier = [root]
@@ -229,9 +217,9 @@ def _next_strata(prev: Stratum, cols_left: int, area_left: int) -> Iterator[tupl
                     yield (y, h, z, d), s
 
 
-def _iter_slices(first_slices, successors, k: int, size: int, firsts: Iterable | None = None) -> Iterator[tuple]:
-    """All slice tuples of width k and total size `size` that start with one
-    of firsts (by default all of first_slices(k, size)), by DFS over
+def _iter_slices(first_slices, successors, k: int, size: int) -> Iterator[tuple]:
+    """All slice tuples of width k and total size `size`, one first slice
+    of first_slices(k, size) after the other, by DFS over
     successors(prev, slices_left, size_left). A slice's size is the sum of
     its extents, its odd-indexed entries."""
     current: list = []
@@ -245,24 +233,25 @@ def _iter_slices(first_slices, successors, k: int, size: int, firsts: Iterable |
             yield from rec(slices_left - 1, size_left - used)
             current.pop()
 
-    for first in first_slices(k, size) if firsts is None else firsts:
+    for first in first_slices(k, size):
         current.append(first)
         yield from rec(k - 1, size - sum(first[1::2]))
         current.pop()
 
 
-# (k, n[, firsts]): the normalized column tuples of width k and area n, and
-# (k, m[, firsts]): the normalized stratum tuples of width k and lateral area m.
+# (k, n): the normalized column tuples of width k and area n, and
+# (k, m): the normalized stratum tuples of width k and lateral area m.
 _iter_columns = partial(_iter_slices, _first_columns, _next_columns)
 _iter_strata = partial(_iter_slices, _first_strata, _next_strata)
 
 
 def _count_slices(first_slices, successors, tail, k: int, size: int, firsts: Iterable | None = None) -> int:
-    """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
-    yields, by the same DFS counting instead of yielding: successors places
-    every slice but the last two at each of its offsets, and tail(prev,
-    slices_left, size_left) counts the ways to end it with 1 or 2 more.
-    With tail None, successors places every slice."""
+    """How many tuples _iter_slices(first_slices, successors, k, size)
+    yields that start with one of firsts (by default all of
+    first_slices(k, size)), by the same DFS counting instead of yielding:
+    successors places every slice but the last two at each of its offsets,
+    and tail(prev, slices_left, size_left) counts the ways to end it with 1
+    or 2 more. With tail None, successors places every slice."""
 
     def rec(prev: tuple, slices_left: int, size_left: int) -> int:
         if slices_left == 0:
@@ -373,15 +362,16 @@ def _reached(successors):
 
 
 def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterable | None = None) -> int:
-    """How many tuples _iter_slices(first_slices, successors, k, size, firsts)
-    yields that are directed: the counting DFS over the slices _reached
-    reaches, with the last two slices counted once per shape. The DFS
-    reaches a slice only when it is fully reached, successors are placed
-    relative to its offsets, and steps do not depend on where a slice
-    sits, so the ways to end below it with 1 or 2 slices depend only on
-    its extents and the size left; the tail searches them once per
-    (extents, slices left, size left) and keeps the count for the call.
-    Like _columns_tail and _strata_tail it stops at two slices."""
+    """How many tuples _iter_slices(first_slices, successors, k, size)
+    yields that start with one of firsts (by default all) and are directed:
+    the counting DFS over the slices _reached reaches, with the last two
+    slices counted once per shape. The DFS reaches a slice only when it is
+    fully reached, successors are placed relative to its offsets, and steps
+    do not depend on where a slice sits, so the ways to end below it with 1
+    or 2 slices depend only on its extents and the size left; the tail
+    searches them once per (extents, slices left, size left) and keeps the
+    count for the call. Like _columns_tail and _strata_tail it stops at two
+    slices."""
     reached = _reached(successors)
     ends: dict[tuple, int] = {}  # (prev extents, slices left, size left) -> count
 
@@ -410,10 +400,8 @@ def iter_cc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
 
 
 def iter_dcc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
-    """The directed subfamily of iter_cc."""
-    for cols in _iter_columns(k, n):
-        if _cc_is_directed(cols):
-            yield ColumnConvexPoly(cols)
+    """The polyominoes of iter_cc(k, n) whose is_directed() is true."""
+    return (p for p in iter_cc(k, n) if p.is_directed())
 
 
 def iter_plateau(k: int, m: int) -> Iterator[PlateauPolycube]:
@@ -423,10 +411,8 @@ def iter_plateau(k: int, m: int) -> Iterator[PlateauPolycube]:
 
 
 def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
-    """The directed subfamily of iter_plateau."""
-    for plats in _iter_strata(k, m):
-        if _plateau_is_directed(plats):
-            yield PlateauPolycube(plats)
+    """The polycubes of iter_plateau(k, m) whose is_directed() is true."""
+    return (p for p in iter_plateau(k, m) if p.is_directed())
 
 
 def _count_share(count, first_slices, k: int, size: int, shares: int, share: int) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 from . import asymptotics, oracle
@@ -221,18 +222,8 @@ def suite_bijection() -> RunReport:
     report = RunReport("bijection")
     # projections repeat across polycubes and pairings: each is searched and
     # generated once per run; every polycube is still searched whole
-    directed: dict[oracle.ColumnConvexPoly, bool] = {}
-    polys: dict[tuple[int, int], list[oracle.ColumnConvexPoly]] = {}
-
-    def is_directed(poly: oracle.ColumnConvexPoly) -> bool:
-        if poly not in directed:
-            directed[poly] = poly.is_directed()
-        return directed[poly]
-
-    def polyominoes(k: int, area: int) -> list[oracle.ColumnConvexPoly]:
-        if (k, area) not in polys:
-            polys[k, area] = list(oracle.iter_cc(k, area))
-        return polys[k, area]
+    is_directed = cache(oracle.ColumnConvexPoly.is_directed)
+    polyominoes = cache(lambda k, area: list(oracle.iter_cc(k, area)))
 
     for k in range(1, 4):
         for m in range(2 * k, 11):

@@ -365,6 +365,23 @@ GF_DIGESTS = {
 }
 
 
+# SHA-256 of verify --suite all stdout and of the dump files of the
+# benchmark's dump cells, taken while 2D and 3D directedness were still
+# searched by separate functions: lifting columns to depth-1 strata for the
+# one 3D search must not change a byte.
+VERIFY_ALL_DIGEST = "317a5db272cd083b80b6a46be57e673bcd1f81e98bcd2809b49407d500968062"
+DUMP_DIGESTS = {
+    ("plateau", 3, 9): "904dabb1730cd3fec4fd7616a50ff2ea8b0bed47623c1c83733e2aa750495d55",
+    ("cc", 4, 10): "c845c376fce35cd88c0a47fe5d11333a2071d0ea841062426c2ec1e6d6482354",
+    ("dplateau", 3, 10): "16c62c5a39b48cf684fa325dda64263ab0b9e768eb655be59118d86254942635",
+    ("dcc", 4, 10): "50e161421117d97247fab56c552dedf1da3086357a38f1376a7d8a63c36dfdea",
+    ("plateau", 2, 5): "20db77db9d4fe70bb154d8f875b7104b1b5b1d9a3edc8505543f6919ee233344",
+    ("cc", 2, 4): "8a8fdade4aa27ecfefcabd30e0554529364ee8177df5ebff90356c9a48fea999",
+    ("dplateau", 2, 5): "d7ec7011df8b8f470cd552c5ff777ad0882519dfd49a13daac857ee998f759ab",
+    ("dcc", 2, 4): "fc0ed134e1600bf58c453e76e5e6ceb78ebc062fc989fa0d201bb73e4cd2e34a",
+}
+
+
 @pytest.mark.parametrize("family", TABLE_CSV_DIGESTS)
 def test_table_csv_golden_digest(capsys, family):
     code, out, _ = run_cli(capsys, "table", "--family", family, "--k-max", "30", "--size-max", "90", "--format", "csv")
@@ -378,6 +395,23 @@ def test_gf_golden_digest(capsys, which):
     code, out, _ = run_cli(capsys, "gf", "--which", which, *width, "--terms", "60")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GF_DIGESTS[which]
+
+
+def test_verify_all_golden_digest(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGEST
+
+
+@pytest.mark.parametrize("family, k, size", DUMP_DIGESTS)
+def test_dump_golden_digest(tmp_path, capsys, family, k, size):
+    path = tmp_path / "objects.txt"
+    size_flag = "-n" if SIZE_UNIT[family] == 1 else "-m"
+    code, _, _ = run_cli(
+        capsys, "count", "--family", family, "-k", str(k), size_flag, str(size), "--method", "oracle", "--dump", str(path)
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DUMP_DIGESTS[family, k, size]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 routes, projections, directedness, and the dump format."""
 import io
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from itertools import islice
 
@@ -14,7 +15,6 @@ from polylat.counting import count_cc, count_dcc, r_gf, s_closed
 from polylat.oracle import (
     ColumnConvexPoly,
     PlateauPolycube,
-    _cc_is_directed,
     _columns_tail,
     _count_columns,
     _count_reachable,
@@ -27,7 +27,6 @@ from polylat.oracle import (
     _iter_strata,
     _next_columns,
     _next_strata,
-    _plateau_is_directed,
     _reached,
     _slice_reached,
     _slice_steps,
@@ -152,14 +151,16 @@ def test_counting_parts_match_literal_parts():
         for n in range(k, 14):
             firsts = list(_first_columns(k, n))
             parts = [_count_columns(k, n, [first]) for first in firsts]
-            assert parts == [sum(1 for _ in _iter_columns(k, n, [first])) for first in firsts]
-            assert sum(parts) == _count_columns(k, n)
+            literal = Counter(t[0] for t in _iter_columns(k, n))
+            assert parts == [literal[first] for first in firsts]
+            assert sum(parts) == _count_columns(k, n) == sum(literal.values())
     for k in range(1, 6):
         for m in range(2 * k, 14):
             firsts = list(_first_strata(k, m))
             parts = [_count_strata(k, m, [first]) for first in firsts]
-            assert parts == [sum(1 for _ in _iter_strata(k, m, [first])) for first in firsts]
-            assert sum(parts) == _count_strata(k, m)
+            literal = Counter(t[0] for t in _iter_strata(k, m))
+            assert parts == [literal[first] for first in firsts]
+            assert sum(parts) == _count_strata(k, m) == sum(literal.values())
 
 
 @settings(deadline=None)
@@ -168,10 +169,10 @@ def test_counting_part_matches_literal_part_at_random_first_slice(data, k, size)
     # one first slice, then the placed and the arithmetic levels below it
     if size >= k:
         first = data.draw(st.sampled_from(list(_first_columns(k, size))))
-        assert _count_columns(k, size, [first]) == sum(1 for _ in _iter_columns(k, size, [first]))
+        assert _count_columns(k, size, [first]) == Counter(t[0] for t in _iter_columns(k, size))[first]
     if size >= 2 * k:
         first = data.draw(st.sampled_from(list(_first_strata(k, size))))
-        assert _count_strata(k, size, [first]) == sum(1 for _ in _iter_strata(k, size, [first]))
+        assert _count_strata(k, size, [first]) == Counter(t[0] for t in _iter_strata(k, size))[first]
 
 
 # The tails' sums written out, term by term over the extents of the last one
@@ -437,22 +438,45 @@ def directed_from_some_root(p):
     return False
 
 
+def north_east_directed(cols):
+    """North/East reachability over the cells of a column tuple, from the
+    bottom cell of its first column: directed when it reaches all cells."""
+    cells = {(x, y) for x, (b, h) in enumerate(cols) for y in range(b, b + h)}
+    root = (0, cols[0][0])
+    seen, frontier = {root}, [root]
+    while frontier:
+        x, y = frontier.pop()
+        for nxt in ((x, y + 1), (x + 1, y)):
+            if nxt in cells and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen == cells
+
+
+def test_directedness_2d_lift_matches_north_east_search():
+    # the 3D search on columns lifted to depth-1 strata against a plain 2D one
+    for k in range(1, 6):
+        for n in range(k, 13):
+            for cols in _iter_columns(k, n):
+                assert ColumnConvexPoly(cols).is_directed() == north_east_directed(cols), cols
+
+
 def test_directedness_3d_matches_search_from_every_root():
     # the minimal-corner search against every root
     for k in range(1, 4):
         for m in range(2 * k, 11):
             for p in iter_plateau(k, m):
-                assert _plateau_is_directed(p.plateaus) == directed_from_some_root(p)
+                assert p.is_directed() == directed_from_some_root(p)
 
 
 def test_staged_count_matches_whole_object_filter():
     # the slice-staged search against the whole-object BFS on every tuple
     for k in range(1, 6):
         for n in range(13):
-            assert enum_dcc(k, n) == sum(map(_cc_is_directed, _iter_columns(k, n))), (k, n)
+            assert enum_dcc(k, n) == sum(p.is_directed() for p in iter_cc(k, n)), (k, n)
     for k in range(1, 5):
         for m in range(13):
-            assert enum_dplateau(k, m) == sum(map(_plateau_is_directed, _iter_strata(k, m))), (k, m)
+            assert enum_dplateau(k, m) == sum(p.is_directed() for p in iter_plateau(k, m)), (k, m)
 
 
 def test_width_one_directed_cell_builds_no_map():
