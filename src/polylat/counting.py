@@ -14,9 +14,16 @@ function), then the brute-force geometric route of the oracle module,
 which also takes workers=. The first route is the family's authoritative
 one: the command line's default, and the source of build_table's seed
 widths.
-Out-of-support inputs return 0 rather than raising, because the
-convolutions range freely and rely on vanishing terms. Only structurally
+Out-of-support inputs return 0 rather than raising. Only structurally
 meaningless arguments (width < 1, unknown family) raise.
+
+Single counts read one width's series. count_cc and r_gf share a
+per-process cache of series and expanded prefixes (_cached_coeff), where
+a hit is one list index. Each convolution route builds one column and sums
+it against its own reverse: r_conv reads the cc column from the width's
+cached prefix (entered through count_cc), s_conv walks the dcc column by
+exact binomial ratios, so it stays independent of s_closed and of the
+dplateau series.
 
 The triple-binomial formula published for the column-convex counts
 (alpha_lemma below) does not reproduce the published table of first values;
@@ -53,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
+from operator import add, mul
 from typing import Callable
 
 from .combinatorics import binomial
@@ -77,9 +84,18 @@ def count_dcc(k: int, n: int) -> int:
 def s_conv(k: int, n: int) -> int:
     """Directed plateau polycubes of width k and lateral area n, by the
     convolution over the two projection areas:
-    sum_{i=k..n-k} C(i+k-2, i-k) * C(n-i+k-2, n-i-k)."""
+    sum_{i=k..n-k} C(i+k-2, i-k) * C(n-i+k-2, n-i-k).
+
+    The dcc column count_dcc(k, k+j) = C(j+2k-2, j), j = 0..n-2k, is built
+    once by the exact ratio c_j = c_(j-1) (j+2k-2) / j and convolved with
+    its reverse. Zero when n < 2k."""
     _check_width(k)
-    return sum(count_dcc(k, i) * count_dcc(k, n - i) for i in range(k, n - k + 1))
+    if n < 2 * k:
+        return 0
+    col = [1]
+    for j in range(1, n - 2 * k + 1):
+        col.append(col[-1] * (j + 2 * k - 2) // j)
+    return sum(map(mul, col, reversed(col)))
 
 
 def s_closed(k: int, n: int) -> int:
@@ -113,28 +129,39 @@ def alpha_lemma(k: int, u: int) -> int:
 _SERIES_CACHE: dict[tuple[Callable[[int], RationalGF], int], tuple[RationalGF, int, list[int]]] = {}
 
 
+def _cached_prefix(k: int, gf_factory: Callable[[int], RationalGF], n: int) -> list[int]:
+    """The cached prefix of a per-width series that has a cache entry,
+    expanded through at least term n. An expansion runs from term 0 to the
+    largest of n, the first query's size, twice the expanded length and
+    32."""
+    gf, first, coeffs = _SERIES_CACHE[(gf_factory, k)]
+    if n >= len(coeffs):
+        coeffs = gf_coeffs(gf, max(n, first, 2 * len(coeffs), 32))
+        _SERIES_CACHE[(gf_factory, k)] = (gf, first, coeffs)
+    return coeffs
+
+
 def _cached_coeff(k: int, gf_factory: Callable[[int], RationalGF], n: int) -> int:
     """Coefficient [t^n] of a per-width series, cached per process.
 
     A width's first query builds its series once, keeps it in the cache
     entry and answers with one binomial sum (gf_coeff), expanding nothing.
-    A later query within the expanded prefix is a list index. Any other
-    query expands the kept series from term 0 to the largest of n, the
-    first query's size, twice the expanded length and 32. So a width asked
-    for sizes in increasing order expands about log2(n) times; asked for its
-    largest size first (as build_table asks for its seed widths), it
-    expands once, at its second query. Recomputation on extension is
-    idempotent, so concurrent use is safe."""
+    A later query within the expanded prefix is a list index, taken here
+    with no further call. Any other query expands the kept series by
+    _cached_prefix's growth rule. So a width asked for sizes in increasing
+    order expands about log2(n) times; asked for its largest size first (as
+    build_table asks for its seed widths), it expands once, at its second
+    query. Recomputation on extension is idempotent, so concurrent use is
+    safe."""
     entry = _SERIES_CACHE.get((gf_factory, k))
     if entry is None:
         gf = gf_factory(k)
         _SERIES_CACHE[(gf_factory, k)] = (gf, n, [])
         return gf_coeff(gf, n)
-    gf, first, coeffs = entry
-    if n >= len(coeffs):
-        coeffs = gf_coeffs(gf, max(n, first, 2 * len(coeffs), 32))
-        _SERIES_CACHE[(gf_factory, k)] = (gf, first, coeffs)
-    return coeffs[n]
+    coeffs = entry[2]
+    if n < len(coeffs):
+        return coeffs[n]
+    return _cached_prefix(k, gf_factory, n)[n]
 
 
 def count_cc(k: int, n: int) -> int:
@@ -148,9 +175,19 @@ def count_cc(k: int, n: int) -> int:
 
 def r_conv(k: int, m: int) -> int:
     """Plateau polycubes of width k and lateral area m, by the convolution
-    over the two projection areas: sum_{i=k..m-k} cc(k,i) * cc(k,m-i)."""
+    over the two projection areas: sum_{i=k..m-k} cc(k,i) * cc(k,m-i).
+
+    The column's last term comes from count_cc(k, m-k), which enters the
+    width's series in the cache (or finds it there); the whole column
+    cc(k, k..m-k) is then read once from that cached prefix, expanded
+    through m-k if it is shorter, and convolved with its reverse. Zero
+    when m < 2k, without building the series."""
     _check_width(k)
-    return sum(count_cc(k, i) * count_cc(k, m - i) for i in range(k, m - k + 1))
+    if m < 2 * k:
+        return 0
+    count_cc(k, m - k)  # the cache's one entry point for a cc width
+    col = _cached_prefix(k - 1, gf_C, m - k)[k : m - k + 1]
+    return sum(map(mul, col, reversed(col)))
 
 
 def r_gf(k: int, m: int) -> int:

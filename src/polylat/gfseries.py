@@ -16,6 +16,11 @@ through the induced linear recurrence
 
     c_n = num_n - sum_{i>=1} den_i * c_{n-i}.
 
+The constructors below record e as the series' pole order, so neither
+path rebuilds (1-t)^e to recognise a denominator they built a moment
+before; a RationalGF built by a caller records none, and its denominator
+is compared with the rebuilt row exactly.
+
 Constructors are provided for every series the toolkit studies:
 
     dcc_width(k)   directed column-convex polyominoes with k columns, by area
@@ -26,7 +31,7 @@ Constructors are provided for every series the toolkit studies:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
 
@@ -97,10 +102,16 @@ def one_minus_t_pow(e: int) -> Poly:
 
 @dataclass(frozen=True)
 class RationalGF:
-    """num/den with integer coefficients; den normalized to constant term 1."""
+    """num/den with integer coefficients; den normalized to constant term 1.
+
+    pole is e when den is known to be (1-t)^e, else None. Only the
+    constructors below set it, for the denominators they build as
+    one_minus_t_pow(e); it takes no part in equality, hash or repr, and a
+    RationalGF built by a caller has None, so its shape is checked exactly."""
 
     num: Poly
     den: Poly
+    pole: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         num = poly_trim(self.num)
@@ -117,10 +128,27 @@ class RationalGF:
 ZERO_GF = RationalGF((), (1,))
 
 
+def _over_one_minus_t(num, e: int) -> RationalGF:
+    """num / (1-t)^e, with its pole order recorded."""
+    gf = RationalGF(num, one_minus_t_pow(e))
+    object.__setattr__(gf, "pole", e)
+    return gf
+
+
+def _pole_order(gf: RationalGF) -> int | None:
+    """e when gf's denominator is (1-t)^e, else None: the order a
+    constructor recorded, or else an exact comparison with the rebuilt row."""
+    if gf.pole is not None:
+        return gf.pole
+    e = len(gf.den) - 1
+    return e if gf.den == one_minus_t_pow(e) else None
+
+
 def gf_coeffs(gf: RationalGF, upto: int) -> list[int]:
     """First upto+1 Taylor coefficients of gf, as exact integers.
 
-    A denominator equal to (1-t)^e gives e rounds of prefix sums over the
+    A denominator equal to (1-t)^e (by its recorded pole order, or else by
+    an exact check) gives e rounds of prefix sums over the
     numerator (cut or zero-padded to upto+1 terms); any other one gives the
     denominator recurrence, which requires the normalized denominator to
     have constant term exactly 1 (not merely nonzero).
@@ -130,9 +158,10 @@ def gf_coeffs(gf: RationalGF, upto: int) -> list[int]:
     num, den = gf.num, gf.den
     if den[0] != 1:
         raise ValueError(f"denominator constant term must be 1, got {den[0]}")
-    if den == one_minus_t_pow(len(den) - 1):
+    e = _pole_order(gf)
+    if e is not None:
         coeffs = list(num[: upto + 1]) + [0] * (upto + 1 - len(num))
-        for _ in range(len(den) - 1):
+        for _ in range(e):
             coeffs = list(accumulate(coeffs))
         return coeffs
     coeffs = []
@@ -147,15 +176,16 @@ def gf_coeffs(gf: RationalGF, upto: int) -> list[int]:
 def gf_coeff(gf: RationalGF, n: int) -> int:
     """Single Taylor coefficient [t^n] gf (0 for negative n).
 
-    A denominator equal to (1-t)^e with e >= 1 gives one binomial sum,
+    A denominator equal to (1-t)^e with e >= 1 (recognised as in
+    gf_coeffs) gives one binomial sum,
     [t^n] num/(1-t)^e = sum_i num_i C(n-i+e-1, e-1), with no expansion:
     one binomial at the numerator's first nonzero index, then each next one
     by the exact ratio C(N-1, r) = C(N, r) (N-r)/N. Any other denominator
     is expanded by gf_coeffs, under its rules and errors."""
     if n < 0:
         return 0
-    num, e = gf.num, len(gf.den) - 1
-    if e < 1 or gf.den != one_minus_t_pow(e):
+    num, e = gf.num, _pole_order(gf)
+    if not e:
         return gf_coeffs(gf, n)[n]
     top = min(n, len(num) - 1)
     first = next((i for i in range(top + 1) if num[i]), None)
@@ -174,7 +204,7 @@ def gf_dcc_width(k: int) -> RationalGF:
     counted by area."""
     if k < 1:
         raise ValueError(f"width must be >= 1, got {k}")
-    return RationalGF(monomial(k), one_minus_t_pow(2 * k - 1))
+    return _over_one_minus_t(monomial(k), 2 * k - 1)
 
 
 def gf_S_k(k: int) -> RationalGF:
@@ -184,7 +214,7 @@ def gf_S_k(k: int) -> RationalGF:
         raise ValueError(f"width must be >= 0, got {k}")
     if k == 0:
         return ZERO_GF
-    return RationalGF(monomial(2 * k), one_minus_t_pow(4 * k - 2))
+    return _over_one_minus_t(monomial(2 * k), 4 * k - 2)
 
 
 def gf_S() -> RationalGF:
@@ -206,7 +236,7 @@ def gf_S_xt_coeff(k: int, n: int) -> int:
     """
     if k < 1:
         raise ValueError(f"width must be >= 1, got {k}")
-    term = RationalGF(poly_mul(monomial(2 * k), one_minus_t_pow(2)), one_minus_t_pow(4 * k))
+    term = _over_one_minus_t(poly_mul(monomial(2 * k), one_minus_t_pow(2)), 4 * k)
     return gf_coeff(term, n)
 
 
@@ -219,7 +249,7 @@ def gf_C(k: int) -> RationalGF:
     if k < 0:
         raise ValueError(f"index must be >= 0, got {k}")
     num = poly_mul(monomial(k + 1), poly_trim(antidiagonal(k)))
-    return RationalGF(num, one_minus_t_pow(2 * k + 1))
+    return _over_one_minus_t(num, 2 * k + 1)
 
 
 def gf_R(k: int) -> RationalGF:
@@ -233,4 +263,4 @@ def gf_R(k: int) -> RationalGF:
     if k < 1:
         raise ValueError(f"width must be >= 1, got {k}")
     d = poly_trim(antidiagonal(k - 1))
-    return RationalGF(poly_mul(monomial(2 * k), poly_mul(d, d)), one_minus_t_pow(4 * k - 2))
+    return _over_one_minus_t(poly_mul(monomial(2 * k), poly_mul(d, d)), 4 * k - 2)

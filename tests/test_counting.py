@@ -137,6 +137,23 @@ def test_r_conv_equals_r_gf():
             assert r_conv(k, m) == r_gf(k, m)
 
 
+def _r_conv_by_terms(k, m):
+    return sum(count_cc(k, i) * count_cc(k, m - i) for i in range(k, m - k + 1))
+
+
+def _s_conv_by_terms(k, n):
+    return sum(count_dcc(k, i) * count_dcc(k, n - i) for i in range(k, n - k + 1))
+
+
+def test_convolutions_match_their_per_term_sums():
+    # both convolutions read one column and sum it against its reverse;
+    # sizes below the support (negative ones included) give empty sums
+    for k in range(1, 9):
+        for size in range(-2, 2 * k + 21):
+            assert r_conv(k, size) == _r_conv_by_terms(k, size), (k, size)
+            assert s_conv(k, size) == _s_conv_by_terms(k, size), (k, size)
+
+
 def test_dcc_is_subfamily_of_cc():
     for k in range(1, 7):
         for n in range(1, 15):
@@ -244,6 +261,49 @@ def _counting_expansions(monkeypatch):
     return calls
 
 
+# the routes that read the per-width series cache
+CACHED_ROUTES = {"count_cc": count_cc, "r_conv": r_conv, "r_gf": r_gf}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.sampled_from(sorted(CACHED_ROUTES)), st.integers(1, 4), st.integers(0, 80)), max_size=12))
+def test_cached_routes_in_any_order_match_a_fresh_cache(queries):
+    # count_cc and r_conv share each width's cache entry; sizes up to 80
+    # cross the cache's growth steps 32 and 66
+    saved = dict(counting._SERIES_CACHE)
+    try:
+        fresh = []
+        for name, k, size in queries:
+            counting._SERIES_CACHE.clear()
+            fresh.append(CACHED_ROUTES[name](k, size))
+        counting._SERIES_CACHE.clear()
+        assert [CACHED_ROUTES[name](k, size) for name, k, size in queries] == fresh
+    finally:
+        counting._SERIES_CACHE.clear()
+        counting._SERIES_CACHE.update(saved)
+
+
+def test_cache_hits_call_no_series_code(monkeypatch):
+    # the median point query is a cache hit: a list index, with no series
+    # built, no single coefficient summed and no prefix expanded
+    monkeypatch.setattr(counting, "_SERIES_CACHE", {})
+    calls = []
+    for name in ("gf_C", "gf_R", "gf_coeff", "gf_coeffs"):
+        fn = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    count_cc(5, 30)
+    count_cc(5, 20)
+    r_gf(4, 40)
+    r_gf(4, 30)
+    assert calls == ["gf_C", "gf_coeff", "gf_coeffs", "gf_R", "gf_coeff", "gf_coeffs"]
+    calls.clear()
+    cc = [count_cc(5, n) for n in range(33)]
+    r = [r_gf(4, m) for m in range(41)]
+    assert calls == []
+    assert cc == [_cc_binomial_sum(5, n) for n in range(33)]
+    assert r == [_r_conv_by_terms(4, m) for m in range(41)]
+
+
 @settings(deadline=None)
 @given(family=st.sampled_from(sorted(ROUTES)), k=st.integers(1, 3), extra=st.integers(-2, 5))
 def test_every_route_agrees_at_random_cells(family, k, extra):
@@ -259,6 +319,7 @@ def test_cells_outside_the_support_expand_nothing(monkeypatch):
     calls = _counting_expansions(monkeypatch)
     assert count_cc(50, 10) == 0
     assert r_gf(40, 70) == 0
+    assert r_conv(40, 70) == 0
     assert calls == []
     assert counting._SERIES_CACHE == {}
 

@@ -263,3 +263,36 @@ def test_gf_R_is_cauchy_square_of_gf_C():
 def test_poly_sub():
     assert poly_sub((1, 2), (1, 2)) == ()
     assert poly_sub(one_minus_t_pow(4), monomial(2)) == (1, -4, 5, -4, 1)
+
+
+# every constructor of a (1-t)^e series, by width, as built by gfseries
+POLE_CONSTRUCTORS = (gf_dcc_width, gf_S_k, gf_C, gf_R)
+
+
+def test_pole_order_is_invisible():
+    for k in range(1, 11):
+        built = gf_S_k(k)
+        by_hand = RationalGF(monomial(2 * k), one_minus_t_pow(4 * k - 2))
+        assert built.pole == 4 * k - 2 and by_hand.pole is None
+        assert built == by_hand
+        assert hash(built) == hash(by_hand)
+        assert repr(built) == repr(by_hand)
+    assert gf_S().pole is None
+    with pytest.raises(TypeError):
+        RationalGF((1,), (1, -1), pole=1)
+
+
+def test_recorded_pole_order_gives_the_checked_coefficients():
+    # a copy built by a caller has no recorded order, so gf_coeff and
+    # gf_coeffs check its denominator exactly
+    for make in POLE_CONSTRUCTORS:
+        for k in range(1, 11):
+            built = make(k)
+            copy = RationalGF(built.num, built.den)
+            assert built.pole == len(built.den) - 1 and copy.pole is None
+            upto = 4 * k + 12
+            assert gf_coeffs(built, upto) == gf_coeffs(copy, upto)
+            assert [gf_coeff(built, n) for n in range(-1, upto + 1)] == [gf_coeff(copy, n) for n in range(-1, upto + 1)]
+    for k in range(1, 11):
+        term = RationalGF(poly_mul(monomial(2 * k), one_minus_t_pow(2)), one_minus_t_pow(4 * k))
+        assert [gf_S_xt_coeff(k, n) for n in range(4 * k + 13)] == [gf_coeff(term, n) for n in range(4 * k + 13)]
