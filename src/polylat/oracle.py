@@ -20,25 +20,25 @@ counts the last two in O(1) by closed forms of their per-offset sums. It
 stops at two: summing the earlier slices by extents alone would be the
 transfer-matrix recurrence, a formula route of its own.
 
-Directedness is decided by one literal reachability search over the
-whole object (_is_directed): East/North/Ahead unit steps from the minimal
-corner of the first stratum. A column-convex polyomino is searched as the
-depth-1 plateau polycube with strata (b, h, 0, 1): its cells at z = 0 are
-the polyomino's, and no Ahead step lands in it, so the search takes
-exactly the North/East steps of 2D. is_directed(), and so iter_dcc and
-iter_dplateau, run that search. One reach rule (_reached) runs it one
-slice at a time and feeds both DFS walks, the directed counts and the
-directed dumps: no step decreases x, so each later slice is searched from
-the East step of the previous slice's cells, and a prefix is dropped as
-soon as one of its slices is not fully reached. A first slice is not
-searched: it is a box, which North and Ahead steps from the root cover.
-Steps do not depend on where a slice sits, so one step map is built per
-slice extents, at the origin, once per call, and a width-1 cell builds
-none. For the same reason the directed counts end like the others, with a
-tail rule for the last two slices: later slices are placed relative to a
-fully reached slice, so the ways to end below it depend only on its
-extents and the size left; they are searched once per shape and kept for
-the call. Like the closed-form tails, it stops at two slices.
+Directedness is decided by one literal reachability search over the whole
+object (_is_directed): East/North/Ahead unit steps from the minimal
+corner of the first stratum, tested on the strata's intervals, no cell
+set built. A column-convex polyomino is searched as the depth-1 plateau
+polycube with strata (b, h, 0, 1): its cells at z = 0 are the
+polyomino's, and no Ahead step lands in it, so the search takes the 2D
+North/East steps. is_directed(), and so iter_dcc and iter_dplateau, run
+that search. One reach rule (_reached) runs it one slice at a time and
+feeds both DFS walks, the directed counts and the directed dumps: no step
+decreases x, so each later slice is searched from the East step of the
+previous slice's cells, and a prefix is dropped once one of its slices is
+not fully reached. A first slice, a box, is not searched: North and Ahead
+steps from the root cover it. Steps do not depend on where a slice sits,
+so one step map is built per slice extents, at the origin, once per call,
+and a width-1 cell builds none. For the same reason the directed counts
+also end with a tail rule for the last two slices: later slices are
+placed relative to a fully reached slice, so the ways to end below it
+depend only on its extents and the size left; they are searched once per
+shape, kept for the call. It too stops at two slices.
 
 One rule per family (_first_columns, _first_strata) generates the
 normalized first slices an object can start with, in DFS order. The
@@ -59,10 +59,6 @@ Column = tuple[int, int]
 Stratum = tuple[int, int, int, int]
 
 
-def _intervals_overlap(a_lo: int, a_len: int, b_lo: int, b_len: int) -> bool:
-    return max(a_lo, b_lo) < min(a_lo + a_len, b_lo + b_len)
-
-
 @dataclass(frozen=True)
 class ColumnConvexPoly:
     """Column-convex polyomino as (bottom, height) per column."""
@@ -79,7 +75,7 @@ class ColumnConvexPoly:
             if h < 1:
                 raise ValueError(f"column heights must be >= 1, got {h}")
         for (b1, h1), (b2, h2) in zip(cols, cols[1:]):
-            if not _intervals_overlap(b1, h1, b2, h2):
+            if not (b1 < b2 + h2 and b2 < b1 + h1):
                 raise ValueError(f"columns ({b1},{h1}) and ({b2},{h2}) do not touch")
 
     @property
@@ -117,7 +113,7 @@ class PlateauPolycube:
             if h < 1 or d < 1:
                 raise ValueError(f"stratum extents must be >= 1, got h={h}, d={d}")
         for (y1, h1, z1, d1), (y2, h2, z2, d2) in zip(plats, plats[1:]):
-            if not (_intervals_overlap(y1, h1, y2, h2) and _intervals_overlap(z1, d1, z2, d2)):
+            if not (y1 < y2 + h2 and y2 < y1 + h1 and z1 < z2 + d2 and z2 < z1 + d1):
                 raise ValueError("consecutive strata must overlap in y and in z")
 
     @property
@@ -129,38 +125,41 @@ class PlateauPolycube:
         return sum(h + d for _, h, _, d in self.plateaus)
 
     def cells(self) -> frozenset[tuple[int, int, int]]:
-        return _strata_cells(self.plateaus)
+        return frozenset(
+            (x, y, z)
+            for x, (y0, h, z0, d) in enumerate(self.plateaus)
+            for y in range(y0, y0 + h)
+            for z in range(z0, z0 + d)
+        )
 
     def is_directed(self) -> bool:
         return _is_directed(self.plateaus)
-
-
-def _strata_cells(plats: tuple[Stratum, ...]) -> frozenset[tuple[int, int, int]]:
-    """The cells (x, y, z) of a stratum tuple, stratum x spanning its box."""
-    return frozenset(
-        (x, y, z)
-        for x, (y0, h, z0, d) in enumerate(plats)
-        for y in range(y0, y0 + h)
-        for z in range(z0, z0 + d)
-    )
 
 
 def _is_directed(plats: tuple[Stratum, ...]) -> bool:
     """Reachability of all cells from the minimal corner (0, y0, z0) of the
     first stratum using only East, North and Ahead unit steps. No other
     root can do better: no step decreases y or z, and the corner reaches
-    every cell of the first stratum, hence everything any of them reaches."""
-    cells = _strata_cells(plats)
-    root = (0, plats[0][0], plats[0][2])
-    seen = {root}
-    frontier = [root]
+    every cell of the first stratum, hence everything any of them reaches.
+    Steps are tested on the strata's intervals, no cell set is built: all
+    Σ h·d cells are reached when as many are seen."""
+    seen = set()
+    frontier = [(0, plats[0][0], plats[0][2])]
+    east = plats[1:] + ((0, 0, 0, 0),)  # nothing east of the last stratum
     while frontier:
-        x, y, z = frontier.pop()
-        for nxt in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == len(cells)
+        x, y, z = cell = frontier.pop()
+        if cell in seen:
+            continue
+        seen.add(cell)
+        y0, h, z0, d = plats[x]
+        if y + 1 < y0 + h:
+            frontier.append((x, y + 1, z))
+        if z + 1 < z0 + d:
+            frontier.append((x, y, z + 1))
+        ey, eh, ez, ed = east[x]
+        if ey <= y < ey + eh and ez <= z < ez + ed:
+            frontier.append((x + 1, y, z))
+    return len(seen) == sum(h * d for _, h, _, d in plats)
 
 
 def _first_columns(k: int, n: int) -> Iterator[Column]:
@@ -258,9 +257,10 @@ def _count_slices(first_slices, successors, tail, k: int, size: int, firsts: Ite
             return 1
         if tail and slices_left <= 2:
             return tail(prev, slices_left, size_left)
+        step = tail if tail and slices_left == 3 else rec  # one frame less per placement
         total = 0
         for nxt, used in successors(prev, slices_left, size_left):
-            total += rec(nxt, slices_left - 1, size_left - used)
+            total += step(nxt, slices_left - 1, size_left - used)
         return total
 
     return sum(rec(first, k - 1, size - sum(first[1::2]))

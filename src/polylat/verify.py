@@ -235,9 +235,10 @@ def suite_bijection() -> RunReport:
                 a, b = oracle.project(p)
                 if oracle.unproject(a, b) != p:
                     pairing_ok = False
-                if (a.area + b.area) != p.lateral_area:
+                lateral = p.lateral_area
+                if (a.area + b.area) != lateral:
                     area_ok = False
-                if oracle.lateral_area_voxels(p.cells()) != p.lateral_area:
+                if oracle.lateral_area_voxels(p.cells()) != lateral:
                     area_ok = False
                 if p.is_directed() != (is_directed(a) and is_directed(b)):
                     directed_ok = False

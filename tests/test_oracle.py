@@ -73,6 +73,44 @@ def test_plateau_validation():
         PlateauPolycube(((0, 1, 0, 0),))
 
 
+def test_validation_rejects_slices_that_touch_only_at_an_endpoint():
+    for cols in (((0, 1), (1, 1)), ((0, 2), (-2, 2))):
+        (b1, h1), (b2, h2) = cols
+        with pytest.raises(ValueError, match=fr"^columns \({b1},{h1}\) and \({b2},{h2}\) do not touch$"):
+            ColumnConvexPoly(cols)
+    for cols in (((0, 2), (1, 1)), ((0, 2), (-1, 2))):
+        ColumnConvexPoly(cols)
+    # touching in y only, in z only, and in both; then overlapping in both
+    for plats in (((0, 2, 0, 2), (2, 1, 0, 2)), ((0, 2, 0, 2), (0, 2, -1, 1)),
+                  ((0, 1, 0, 1), (1, 1, 1, 1))):
+        with pytest.raises(ValueError, match="^consecutive strata must overlap in y and in z$"):
+            PlateauPolycube(plats)
+    PlateauPolycube(((0, 2, 0, 2), (1, 1, -1, 2)))
+
+
+def shares_a_row(lo1, ext1, lo2, ext2):
+    return bool(set(range(lo1, lo1 + ext1)) & set(range(lo2, lo2 + ext2)))
+
+
+@given(data=st.data(), axes=st.sampled_from((1, 2)), k=st.integers(1, 4))
+def test_validation_accepts_exactly_consecutive_slices_that_share_a_row(data, axes, k):
+    # normalized first slice, then random offsets and extents (0 included)
+    slice_ = st.tuples(*(strategy for _ in range(axes) for strategy in (st.integers(-3, 3), st.integers(0, 3))))
+    slices = [data.draw(slice_) for _ in range(k)]
+    slices[0] = tuple(0 if i % 2 == 0 else v for i, v in enumerate(slices[0]))
+    slices = tuple(slices)
+    build = ColumnConvexPoly if axes == 1 else PlateauPolycube
+    if any(ext < 1 for s in slices for ext in s[1::2]):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            build(slices)
+    elif all(shares_a_row(s[i], s[i + 1], t[i], t[i + 1])
+             for s, t in zip(slices, slices[1:]) for i in range(0, 2 * axes, 2)):
+        build(slices)
+    else:
+        with pytest.raises(ValueError, match="do not touch|must overlap in y and in z"):
+            build(slices)
+
+
 def test_object_measures():
     p = ColumnConvexPoly(((0, 2), (-1, 3)))
     assert p.width == 2
@@ -436,6 +474,59 @@ def directed_from_some_root(p):
         if seen == cells:
             return True
     return False
+
+
+def directed_by_cell_set(plats):
+    """The whole-object search over a built cell set: East/North/Ahead
+    reachability from the minimal corner of the first stratum."""
+    cells = {(x, y, z) for x, (y0, h, z0, d) in enumerate(plats)
+             for y in range(y0, y0 + h) for z in range(z0, z0 + d)}
+    root = (0, plats[0][0], plats[0][2])
+    seen, frontier = {root}, [root]
+    while frontier:
+        x, y, z = frontier.pop()
+        for nxt in ((x + 1, y, z), (x, y + 1, z), (x, y, z + 1)):
+            if nxt in cells and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return len(seen) == len(cells)
+
+
+@st.composite
+def strata_anywhere(draw, depth):
+    """A stratum tuple of width <= 5 whose consecutive strata overlap, its
+    first stratum far from the origin; depth fixes every stratum's depth
+    at 1 and its z at 0 (a lifted column tuple), or draws them. Offsets
+    that never decrease (so directed tuples) are drawn about half the time."""
+    far, extent = st.integers(-10**6, 10**6), st.integers(1, 4)
+    forward = draw(st.booleans())
+    y, h = draw(far), draw(extent)
+    z, d = (0, 1) if depth else (draw(far), draw(extent))
+    plats = [(y, h, z, d)]
+    for _ in range(draw(st.integers(0, 4))):
+        py, ph, pz, pd = plats[-1]
+        h = draw(extent)
+        y = draw(st.integers(py if forward else py - h + 1, py + ph - 1))
+        if not depth:
+            d = draw(extent)
+            z = draw(st.integers(pz if forward else pz - d + 1, pz + pd - 1))
+        plats.append((y, h, z, d))
+    return tuple(plats)
+
+
+@settings(max_examples=300)
+@given(st.one_of(strata_anywhere(depth=False), strata_anywhere(depth=True)))
+def test_is_directed_matches_cell_set_search(plats):
+    assert oracle._is_directed(plats) == directed_by_cell_set(plats)
+
+
+def test_is_directed_builds_no_cell_set(monkeypatch):
+    def no_cells(self):
+        raise AssertionError("cells() called")
+
+    monkeypatch.setattr(PlateauPolycube, "cells", no_cells)
+    assert sum(p.is_directed() for p in iter_plateau(3, 9)) == enum_dplateau(3, 9)
+    assert sum(p.is_directed() for p in iter_cc(4, 9)) == enum_dcc(4, 9)
 
 
 def north_east_directed(cols):

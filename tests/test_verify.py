@@ -88,6 +88,28 @@ def test_bijection_suite_all_pass():
     assert report.summary[PAPER_DISCREPANCY] == 0
 
 
+# an undirected polycube of width 2 and lateral area 7, and another one of
+# the same size
+TARGET = oracle.PlateauPolycube(((0, 2, 0, 1), (-1, 2, 0, 2)))
+OTHER = oracle.PlateauPolycube(((0, 1, 0, 2), (0, 2, 0, 2)))
+
+
+@pytest.mark.parametrize("owner, name, fault, record", [
+    # the round trip and the pairing set give another polycube for the target
+    (oracle, "unproject", lambda right: lambda a, b: OTHER if right(a, b) == TARGET else right(a, b),
+     "bijection-k2-m7"),
+    # the voxel lateral area is one too large on the target's cells
+    (oracle, "lateral_area_voxels", lambda right: lambda cells: right(cells) + (cells == TARGET.cells()),
+     "bijection-k2-m7"),
+    # the whole-object search answers wrong on the target alone
+    (oracle.PlateauPolycube, "is_directed", lambda right: lambda p: right(p) != (p == TARGET),
+     "directedness-transfer-k2-m7"),
+])
+def test_bijection_suite_catches_a_fault_on_one_object(monkeypatch, owner, name, fault, record):
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    assert [c.id for c in verify.suite_bijection().checks if c.status != PASS] == [record]
+
+
 def test_asymptotics_suite_all_pass():
     report = run_suite("asymptotics")
     assert report.summary[FAIL] == 0
