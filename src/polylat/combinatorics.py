@@ -38,7 +38,8 @@ def delannoy_recursive(n: int, m: int) -> int:
     D(n,m) = D(n-1,m) + D(n,m-1) + D(n-1,m-1) with D(0,m) = D(n,0) = 1,
     read off the anti-diagonal n + m (see antidiagonal).
 
-    Each call costs O((n+m)^2) big-integer additions.
+    The first call that reaches anti-diagonal n + m costs O((n+m)^2)
+    big-integer additions; later calls copy the kept row.
     """
     if n < 0 or m < 0:
         raise ValueError(f"Delannoy arguments must be >= 0, got ({n}, {m})")
@@ -66,22 +67,36 @@ def tribonacci_triangle(depth: int) -> TriangleTable:
     return TriangleTable(rows)
 
 
+# Delannoy anti-diagonals built so far in this process, by index. A row is
+# written only at its own index, and only after the row before it, so the
+# keys are always 0..len-1; writers that race compute the same row, and
+# setdefault keeps whichever came first.
+_DELANNOY_MEMO: dict[int, tuple[int, ...]] = {0: (1,), 1: (1, 1)}
+
+
 def antidiagonal(k: int) -> list[int]:
     """The k-th anti-diagonal of the Delannoy array: [D(k-i, i) for i=0..k].
 
     These are the numerator coefficients of the width-indexed generating
-    functions for column-convex polyominoes. Built row by row with the
-    Delannoy recurrence in O(k^2) big-integer additions, independent of the
-    binomial sum in delannoy_closed.
+    functions for column-convex polyominoes. Each row is built once per
+    process, from the two rows before it by the Delannoy recurrence (O(k)
+    big-integer additions), independent of the binomial sum in
+    delannoy_closed, and kept in _DELANNOY_MEMO; every call returns a fresh
+    list, so callers may mutate it.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    # row[t] = D(s-t, t) on anti-diagonal s; the recurrence links its inner
-    # entries to row s-1 (D(s-t-1, t), D(s-t, t-1)) and row s-2 (D(s-t-1, t-1))
-    before, row = [], [1]
-    for s in range(1, k + 1):
-        before, row = row, [1] + [row[t - 1] + row[t] + before[t - 1] for t in range(1, s)] + [1]
-    return row
+    memo = _DELANNOY_MEMO
+    if k not in memo:
+        # row[t] = D(s-t, t) on anti-diagonal s; the recurrence links its
+        # inner entries to row s-1 (D(s-t-1, t), D(s-t, t-1)) and row s-2
+        # (D(s-t-1, t-1))
+        start = len(memo)
+        before, row = memo[start - 2], memo[start - 1]
+        for s in range(start, k + 1):
+            inner = (row[t - 1] + row[t] + before[t - 1] for t in range(1, s))
+            before, row = row, memo.setdefault(s, (1, *inner, 1))
+    return list(memo[k])
 
 
 def vandermonde_variant(a: int, m: int) -> tuple[int, int]:

@@ -17,9 +17,11 @@ through the induced linear recurrence
     c_n = num_n - sum_{i>=1} den_i * c_{n-i}.
 
 The constructors below record e as the series' pole order, so neither
-path rebuilds (1-t)^e to recognise a denominator they built a moment
-before; a RationalGF built by a caller records none, and its denominator
-is compared with the rebuilt row exactly.
+path rebuilds (1-t)^e to recognise their denominator; a RationalGF built
+by a caller records none, and its denominator is compared with the
+rebuilt row exactly. The constructors build each (1-t)^e row once per
+process and share it, and they read the Delannoy anti-diagonals that
+combinatorics keeps.
 
 Constructors are provided for every series the toolkit studies:
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .combinatorics import antidiagonal
 
@@ -41,7 +44,10 @@ Poly = tuple[int, ...]
 
 
 def poly_trim(coeffs) -> Poly:
-    """Canonical form: drop trailing zero coefficients."""
+    """Canonical form: drop trailing zero coefficients. A tuple that is
+    already canonical is returned as it is."""
+    if type(coeffs) is tuple and (not coeffs or coeffs[-1] != 0):
+        return coeffs
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -105,7 +111,7 @@ class RationalGF:
     """num/den with integer coefficients; den normalized to constant term 1.
 
     pole is e when den is known to be (1-t)^e, else None. Only the
-    constructors below set it, for the denominators they build as
+    constructors below set it, for the denominators they take from
     one_minus_t_pow(e); it takes no part in equality, hash or repr, and a
     RationalGF built by a caller has None, so its shape is checked exactly."""
 
@@ -127,10 +133,18 @@ class RationalGF:
 
 ZERO_GF = RationalGF((), (1,))
 
+# (1-t)^e by e, built on first use: the constructors' denominators, shared
+# by every series of the same pole order.
+_ONE_MINUS_T_POW: dict[int, Poly] = {}
+
 
 def _over_one_minus_t(num, e: int) -> RationalGF:
-    """num / (1-t)^e, with its pole order recorded."""
-    gf = RationalGF(num, one_minus_t_pow(e))
+    """num / (1-t)^e, with its pole order recorded and its denominator
+    shared with every other series of order e."""
+    den = _ONE_MINUS_T_POW.get(e)
+    if den is None:
+        den = _ONE_MINUS_T_POW.setdefault(e, one_minus_t_pow(e))
+    gf = RationalGF(num, den)
     object.__setattr__(gf, "pole", e)
     return gf
 
@@ -248,8 +262,7 @@ def gf_C(k: int) -> RationalGF:
     array."""
     if k < 0:
         raise ValueError(f"index must be >= 0, got {k}")
-    num = poly_mul(monomial(k + 1), poly_trim(antidiagonal(k)))
-    return _over_one_minus_t(num, 2 * k + 1)
+    return _over_one_minus_t((0,) * (k + 1) + tuple(antidiagonal(k)), 2 * k + 1)
 
 
 def gf_R(k: int) -> RationalGF:
@@ -258,9 +271,23 @@ def gf_R(k: int) -> RationalGF:
     Its coefficients are the Cauchy self-convolution of the width-k
     column-convex counts. With C_(k-1) = t^k D(t) / (1-t)^(2k-1), D the
     (k-1)-th Delannoy anti-diagonal, the square is t^(2k) D(t)^2 /
-    (1-t)^(4k-2): only D is squared, and the denominator is built as a
-    power of 1-t, not as a product."""
+    (1-t)^(4k-2): only D is squared, by its symmetry (_palindrome_square),
+    and the denominator is the shared power of 1-t, not a product."""
     if k < 1:
         raise ValueError(f"width must be >= 1, got {k}")
-    d = poly_trim(antidiagonal(k - 1))
-    return _over_one_minus_t(poly_mul(monomial(2 * k), poly_mul(d, d)), 4 * k - 2)
+    return _over_one_minus_t((0,) * (2 * k) + _palindrome_square(antidiagonal(k - 1)), 4 * k - 2)
+
+
+def _palindrome_square(d: list[int]) -> Poly:
+    """d(t)^2 for a palindrome d with nonzero ends (a Delannoy anti-diagonal,
+    as D(j-i, i) = D(i, j-i)); its square is a palindrome too.
+
+    Coefficient s is 2 * sum_{i < s-i} d_i d_(s-i), plus d_(s/2)^2 when s
+    is even; only s <= len(d) - 1 is summed, about len(d)^2 / 4 products,
+    and the rest is the mirror image."""
+    top = len(d) - 1
+    half = []
+    for s in range(top + 1):
+        pairs = 2 * sum(map(mul, d[: (s + 1) // 2], d[s : s // 2 : -1]))
+        half.append(pairs + d[s // 2] ** 2 if s % 2 == 0 else pairs)
+    return (*half, *reversed(half[:top]))

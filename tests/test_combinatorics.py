@@ -1,9 +1,14 @@
 """Binomials, Delannoy numbers, the triangle, and the tiling count, each
 checked against an independent in-test route."""
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import pytest
 
+from polylat import combinatorics
 from polylat.combinatorics import (
     antidiagonal,
     binomial,
@@ -123,6 +128,70 @@ def test_antidiagonal_matches_triangle_rows():
     triangle = tribonacci_triangle(60)
     for k in range(61):
         assert tuple(antidiagonal(k)) == triangle.rows[k]
+
+
+def _forget_rows(memo):
+    """Cut the kept anti-diagonals back to their two seed rows."""
+    for s in range(2, len(memo)):
+        del memo[s]
+
+
+@pytest.fixture
+def fresh_delannoy_memo():
+    """The process-wide anti-diagonals, cut back to their seed rows and
+    restored afterwards."""
+    memo = combinatorics._DELANNOY_MEMO
+    kept = dict(memo)
+    _forget_rows(memo)
+    yield memo
+    memo.clear()
+    memo.update(kept)
+
+
+def _closed_row(k):
+    return [delannoy_closed(k - i, i) for i in range(k + 1)]
+
+
+def test_antidiagonal_in_any_order_matches_the_closed_form(fresh_delannoy_memo):
+    descending = list(range(60, -1, -1))
+    shuffled = list(range(61))
+    random.Random(7).shuffle(shuffled)
+    for order in (descending, shuffled):
+        _forget_rows(fresh_delannoy_memo)
+        for k in order:
+            assert antidiagonal(k) == _closed_row(k)
+        assert sorted(fresh_delannoy_memo) == list(range(61))
+
+
+def test_antidiagonal_returns_a_fresh_list(fresh_delannoy_memo):
+    row = antidiagonal(12)
+    row[3] = -1
+    row.append(0)
+    assert antidiagonal(12) == _closed_row(12)
+    assert antidiagonal(12) is not antidiagonal(12)
+    assert antidiagonal(13) == _closed_row(13)
+
+
+def test_antidiagonal_from_racing_threads(fresh_delannoy_memo):
+    expected = {k: _closed_row(k) for k in range(201)}
+    start = threading.Barrier(4)
+
+    def ask(seed):
+        rng = random.Random(seed)
+        start.wait(timeout=60)
+        return [k for k in (rng.randrange(201) for _ in range(20)) if antidiagonal(k) != expected[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # let the threads interleave inside the row loop
+    try:
+        for round_ in range(5):
+            _forget_rows(fresh_delannoy_memo)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                wrong = list(pool.map(ask, range(4 * round_, 4 * round_ + 4), timeout=60))
+            assert wrong == [[]] * 4
+            assert all(list(row) == expected[s] for s, row in fresh_delannoy_memo.items())
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_vandermonde_values():

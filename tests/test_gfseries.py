@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polylat.combinatorics import antidiagonal
 from polylat.counting import count_dcc, s_closed
 from polylat.gfseries import (
     RationalGF,
+    _palindrome_square,
     gf_C,
     gf_R,
     gf_S,
@@ -32,6 +34,12 @@ def test_poly_trim_canonical():
     assert poly_trim([1, 2, 0, 0]) == (1, 2)
     assert poly_trim([0, 0]) == ()
     assert poly_trim([]) == ()
+    assert poly_trim((1, 2, 0, 0)) == (1, 2)
+    assert poly_trim((0,)) == ()
+    assert type(poly_trim([3])) is tuple
+    # a tuple already in canonical form comes back as the same object
+    for canonical in ((1, 2), (0, 0, 5), (-1,), ()):
+        assert poly_trim(canonical) is canonical
 
 
 def test_poly_add():
@@ -272,8 +280,11 @@ POLE_CONSTRUCTORS = (gf_dcc_width, gf_S_k, gf_C, gf_R)
 def test_pole_order_is_invisible():
     for k in range(1, 11):
         built = gf_S_k(k)
-        by_hand = RationalGF(monomial(2 * k), one_minus_t_pow(4 * k - 2))
+        by_hand = RationalGF([0] * (2 * k) + [1], list(one_minus_t_pow(4 * k - 2)))
         assert built.pole == 4 * k - 2 and by_hand.pole is None
+        # one denominator object per pole order, shared by the constructors
+        assert built.den is gf_S_k(k).den is gf_R(k).den
+        assert gf_C(k).den is gf_dcc_width(k + 1).den
         assert built == by_hand
         assert hash(built) == hash(by_hand)
         assert repr(built) == repr(by_hand)
@@ -296,3 +307,18 @@ def test_recorded_pole_order_gives_the_checked_coefficients():
     for k in range(1, 11):
         term = RationalGF(poly_mul(monomial(2 * k), one_minus_t_pow(2)), one_minus_t_pow(4 * k))
         assert [gf_S_xt_coeff(k, n) for n in range(4 * k + 13)] == [gf_coeff(term, n) for n in range(4 * k + 13)]
+
+
+def test_palindrome_square_matches_the_general_product():
+    for k in range(81):
+        d = antidiagonal(k)
+        assert _palindrome_square(d) == poly_mul(d, d)
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=30), st.booleans())
+def test_palindrome_square_of_random_palindromes(half, odd):
+    half[0] = half[0] or 1
+    d = half + half[-2::-1] if odd else half + half[::-1]
+    assert len(d) % 2 == odd
+    assert _palindrome_square(d) == poly_mul(d, d)
+
