@@ -19,11 +19,15 @@ meaningless arguments (width < 1, unknown family) raise.
 
 Single counts read one width's series. count_cc and r_gf share a
 per-process cache of series and expanded prefixes (_cached_coeff), where
-a hit is one list index. Each convolution route builds one column and sums
-it against its own reverse: r_conv reads the cc column from the width's
-cached prefix (entered through count_cc), s_conv walks the dcc column by
-exact binomial ratios, so it stays independent of s_closed and of the
-dplateau series.
+a hit is one list index. A width's first two asks past its prefix are one
+binomial sum each, and only its third expands the series, through the
+largest size asked: a sum costs one term per numerator coefficient, an
+expansion e rounds over every term up to n, and most widths that a stream
+of single counts touches are asked once or twice. Each convolution route
+builds one column and sums it against its own reverse: r_conv reads the
+whole cc column from the width's cached prefix, so it expands on its
+first call, and s_conv walks the dcc column by exact binomial ratios, so
+it stays independent of s_closed and of the dplateau series.
 
 The triple-binomial formula published for the column-convex counts
 (alpha_lemma below) does not reproduce the published table of first values;
@@ -125,50 +129,61 @@ def alpha_lemma(k: int, u: int) -> int:
     )
 
 
-# (series factory, width) -> (series, size of its first query, expanded prefix)
-_SERIES_CACHE: dict[tuple[Callable[[int], RationalGF], int], tuple[RationalGF, int, list[int]]] = {}
+# (series factory, width) -> (series, asks past its cached prefix, largest
+# size asked, expanded prefix)
+_SERIES_CACHE: dict[tuple[Callable[[int], RationalGF], int], tuple[RationalGF, int, int, list[int]]] = {}
 
 
 def _cached_prefix(k: int, gf_factory: Callable[[int], RationalGF], n: int) -> list[int]:
-    """The cached prefix of a per-width series that has a cache entry,
-    expanded through at least term n. An expansion runs from term 0 to the
-    largest of n, the first query's size, twice the expanded length and
-    32."""
-    gf, first, coeffs = _SERIES_CACHE[(gf_factory, k)]
+    """The cached prefix of a per-width series, expanded through at least
+    term n; a read past the prefix counts as one ask, and a width's first
+    ask builds its series and enters it in the cache. An expansion runs from
+    term 0 to the largest of n, the largest size asked so far, twice the
+    expanded length and 32."""
+    key = (gf_factory, k)
+    gf, asks, largest, coeffs = _SERIES_CACHE.get(key) or (gf_factory(k), 0, n, [])
     if n >= len(coeffs):
-        coeffs = gf_coeffs(gf, max(n, first, 2 * len(coeffs), 32))
-        _SERIES_CACHE[(gf_factory, k)] = (gf, first, coeffs)
+        largest = max(largest, n)
+        coeffs = gf_coeffs(gf, max(largest, 2 * len(coeffs), 32))
+        _SERIES_CACHE[key] = (gf, asks + 1, largest, coeffs)
     return coeffs
 
 
 def _cached_coeff(k: int, gf_factory: Callable[[int], RationalGF], n: int) -> int:
     """Coefficient [t^n] of a per-width series, cached per process.
 
-    A width's first query builds its series once, keeps it in the cache
-    entry and answers with one binomial sum (gf_coeff), expanding nothing.
-    A later query within the expanded prefix is a list index, taken here
-    with no further call. Any other query expands the kept series by
-    _cached_prefix's growth rule. So a width asked for sizes in increasing
+    A query within the expanded prefix is a hit: a list index, taken here
+    with no further call. A width's first two asks past the prefix build
+    its series once, keep it in the cache entry and answer by one binomial
+    sum each (gf_coeff); the third expands the kept series through the
+    largest size asked so far, and later misses grow it by _cached_prefix's
+    rule. A sum costs about one term per numerator coefficient and an
+    expansion e rounds over every term up to n, so a width asked once or
+    twice pays for no prefix, and one asked over and over pays one sum more
+    than if it had expanded at its second ask. The rule reads only how
+    often the width has been asked. A width asked for sizes in increasing
     order expands about log2(n) times; asked for its largest size first (as
-    build_table asks for its seed widths), it expands once, at its second
-    query. Recomputation on extension is idempotent, so concurrent use is
-    safe."""
-    entry = _SERIES_CACHE.get((gf_factory, k))
-    if entry is None:
-        gf = gf_factory(k)
-        _SERIES_CACHE[(gf_factory, k)] = (gf, n, [])
+    build_table asks for its seed widths), it expands once, at its third
+    query. Every entry written holds exact values, so concurrent use is
+    safe: a race can only lose an ask or a prefix, never a value."""
+    key = (gf_factory, k)
+    entry = _SERIES_CACHE.get(key)
+    if entry is not None:
+        coeffs = entry[3]
+        if n < len(coeffs):
+            return coeffs[n]
+    gf, asks, largest, coeffs = entry or (gf_factory(k), 0, n, [])
+    if asks < 2:
+        _SERIES_CACHE[key] = (gf, asks + 1, max(largest, n), coeffs)
         return gf_coeff(gf, n)
-    coeffs = entry[2]
-    if n < len(coeffs):
-        return coeffs[n]
     return _cached_prefix(k, gf_factory, n)[n]
 
 
 def count_cc(k: int, n: int) -> int:
     """Column-convex polyominoes with k columns and area n, from the
     width-indexed generating function (the authoritative route): a
-    width's first query is one binomial sum, later ones read its cached
-    expansion. Zero when n < k, without building the series."""
+    width's first two asks are one binomial sum each, later ones read its
+    cached expansion. Zero when n < k, without building the series."""
     _check_width(k)
     return _cached_coeff(k - 1, gf_C, n) if n >= k else 0
 
@@ -177,15 +192,13 @@ def r_conv(k: int, m: int) -> int:
     """Plateau polycubes of width k and lateral area m, by the convolution
     over the two projection areas: sum_{i=k..m-k} cc(k,i) * cc(k,m-i).
 
-    The column's last term comes from count_cc(k, m-k), which enters the
-    width's series in the cache (or finds it there); the whole column
-    cc(k, k..m-k) is then read once from that cached prefix, expanded
-    through m-k if it is shorter, and convolved with its reverse. Zero
-    when m < 2k, without building the series."""
+    The whole column cc(k, k..m-k) is read once from the width's cached
+    prefix of the cc series, which this read enters in the cache or
+    expands through m-k if it is shorter, and convolved with its reverse.
+    Zero when m < 2k, without building the series."""
     _check_width(k)
     if m < 2 * k:
         return 0
-    count_cc(k, m - k)  # the cache's one entry point for a cc width
     col = _cached_prefix(k - 1, gf_C, m - k)[k : m - k + 1]
     return sum(map(mul, col, reversed(col)))
 
@@ -193,8 +206,8 @@ def r_conv(k: int, m: int) -> int:
 def r_gf(k: int, m: int) -> int:
     """Plateau polycubes of width k and lateral area m, as the p^m
     coefficient of the squared column-convex generating function: a
-    width's first query is one binomial sum, later ones read its cached
-    expansion. Zero when m < 2k, without building the series."""
+    width's first two asks are one binomial sum each, later ones read its
+    cached expansion. Zero when m < 2k, without building the series."""
     _check_width(k)
     return _cached_coeff(k, gf_R, m) if m >= 2 * k else 0
 

@@ -283,19 +283,28 @@ def test_cached_routes_in_any_order_match_a_fresh_cache(queries):
         counting._SERIES_CACHE.update(saved)
 
 
-def test_cache_hits_call_no_series_code(monkeypatch):
-    # the median point query is a cache hit: a list index, with no series
-    # built, no single coefficient summed and no prefix expanded
+def _counting_series_calls(monkeypatch, names=("gf_C", "gf_R", "gf_coeff", "gf_coeffs")):
+    """Start from an empty series cache and record the series code called."""
     monkeypatch.setattr(counting, "_SERIES_CACHE", {})
     calls = []
-    for name in ("gf_C", "gf_R", "gf_coeff", "gf_coeffs"):
+    for name in names:
         fn = getattr(counting, name)
         monkeypatch.setattr(counting, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    return calls
+
+
+def test_cache_hits_call_no_series_code(monkeypatch):
+    # the median point query is a cache hit: a list index, with no series
+    # built, no single coefficient summed and no prefix expanded; a width's
+    # first two asks are single sums, and its third expands
+    calls = _counting_series_calls(monkeypatch)
     count_cc(5, 30)
     count_cc(5, 20)
+    count_cc(5, 25)
     r_gf(4, 40)
     r_gf(4, 30)
-    assert calls == ["gf_C", "gf_coeff", "gf_coeffs", "gf_R", "gf_coeff", "gf_coeffs"]
+    r_gf(4, 35)
+    assert calls == ["gf_C", "gf_coeff", "gf_coeff", "gf_coeffs", "gf_R", "gf_coeff", "gf_coeff", "gf_coeffs"]
     calls.clear()
     cc = [count_cc(5, n) for n in range(33)]
     r = [r_gf(4, m) for m in range(41)]
@@ -402,22 +411,61 @@ def test_table_value_is_zero_outside_the_rectangle():
         assert table.row(21) == table.row(-1) == [0] * 4
 
 
-def test_first_query_expands_nothing_and_the_second_covers_both(monkeypatch):
+def test_first_two_queries_expand_nothing_and_the_third_covers_all(monkeypatch):
     calls = _counting_expansions(monkeypatch)
     assert count_cc(30, 300) == _cc_binomial_sum(30, 300)
     by_sum = r_gf(12, 200)
-    assert calls == []
-    # a width's second query expands it once, up to the larger of its two
-    # sizes; later queries inside that prefix expand nothing
     assert count_cc(30, 120) == _cc_binomial_sum(30, 120)
+    assert calls == []
+    # a width's third query expands it once, up to the largest of its three
+    # sizes; later queries inside that prefix expand nothing
+    assert count_cc(30, 250) == _cc_binomial_sum(30, 250)
     assert calls == [300]
     assert count_cc(30, 300) == _cc_binomial_sum(30, 300)
     assert count_cc(30, 31) == _cc_binomial_sum(30, 31)
     assert calls == [300]
     assert r_gf(12, 200) == by_sum
-    assert calls == [300, 200]
+    assert calls == [300]
     assert r_gf(12, 24) == 1
     assert calls == [300, 200]
+    assert r_gf(12, 200) == by_sum
+    assert calls == [300, 200]
+
+
+def test_two_asks_per_width_keep_no_prefix(monkeypatch):
+    # a width asked twice pays two single sums: no expansion, and nothing
+    # kept but its series
+    calls = _counting_expansions(monkeypatch)
+    by_sum = {}
+    for k in (40, 200, 400):
+        assert count_cc(k, 3000) == _cc_binomial_sum(k, 3000)
+        assert count_cc(k, 3001) == _cc_binomial_sum(k, 3001)
+        assert r_gf(k, 3000) > 0
+        by_sum[k] = r_gf(k, 3001)
+    assert calls == []
+    assert len(counting._SERIES_CACHE) == 6
+    assert all(coeffs == [] for *_, coeffs in counting._SERIES_CACHE.values())
+    # the convolution reads the whole column, so it expands at once, through
+    # the largest size asked of the width
+    assert r_conv(40, 3001) == by_sum[40]
+    assert calls == [3001]
+
+
+def test_r_conv_enters_a_cold_width_by_one_expansion(monkeypatch):
+    # no single sum is taken only to be read again from the expansion; the
+    # read counts as the width's first ask, so the next miss is a sum and
+    # the one after it expands
+    calls = _counting_series_calls(monkeypatch, ("gf_coeff", "gf_coeffs"))
+    by_column = r_conv(12, 200)
+    assert calls == ["gf_coeffs"]
+    # each count_cc below is a hit on the expanded prefix
+    assert by_column == _r_conv_by_terms(12, 200)
+    assert r_conv(12, 100) == _r_conv_by_terms(12, 100)
+    assert calls == ["gf_coeffs"]
+    assert count_cc(12, 300) == _cc_binomial_sum(12, 300)
+    assert calls == ["gf_coeffs", "gf_coeff"]
+    assert count_cc(12, 301) == _cc_binomial_sum(12, 301)
+    assert calls == ["gf_coeffs", "gf_coeff", "gf_coeffs"]
 
 
 def test_large_cold_cells_expand_nothing(monkeypatch):
