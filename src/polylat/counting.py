@@ -25,9 +25,10 @@ largest size asked: a sum costs one term per numerator coefficient, an
 expansion e rounds over every term up to n, and most widths that a stream
 of single counts touches are asked once or twice. Each convolution route
 builds one column and sums it against its own reverse: r_conv reads the
-whole cc column from the width's cached prefix, so it expands on its
-first call, and s_conv walks the dcc column by exact binomial ratios, so
-it stays independent of s_closed and of the dplateau series.
+whole cc column from the width's cached prefix (entered through
+count_cc), so it expands on its first call, and s_conv walks the dcc
+column by exact binomial ratios, so it stays independent of s_closed and
+of the dplateau series.
 
 The triple-binomial formula published for the column-convex counts
 (alpha_lemma below) does not reproduce the published table of first values;
@@ -135,13 +136,12 @@ _SERIES_CACHE: dict[tuple[Callable[[int], RationalGF], int], tuple[RationalGF, i
 
 
 def _cached_prefix(k: int, gf_factory: Callable[[int], RationalGF], n: int) -> list[int]:
-    """The cached prefix of a per-width series, expanded through at least
-    term n; a read past the prefix counts as one ask, and a width's first
-    ask builds its series and enters it in the cache. An expansion runs from
-    term 0 to the largest of n, the largest size asked so far, twice the
-    expanded length and 32."""
+    """The cached prefix of a per-width series that has a cache entry,
+    expanded through at least term n; an expansion counts as one ask and
+    runs from term 0 to the largest of n, the largest size asked so far,
+    twice the expanded length and 32."""
     key = (gf_factory, k)
-    gf, asks, largest, coeffs = _SERIES_CACHE.get(key) or (gf_factory(k), 0, n, [])
+    gf, asks, largest, coeffs = _SERIES_CACHE[key]
     if n >= len(coeffs):
         largest = max(largest, n)
         coeffs = gf_coeffs(gf, max(largest, 2 * len(coeffs), 32))
@@ -192,13 +192,15 @@ def r_conv(k: int, m: int) -> int:
     """Plateau polycubes of width k and lateral area m, by the convolution
     over the two projection areas: sum_{i=k..m-k} cc(k,i) * cc(k,m-i).
 
-    The whole column cc(k, k..m-k) is read once from the width's cached
-    prefix of the cc series, which this read enters in the cache or
-    expands through m-k if it is shorter, and convolved with its reverse.
-    Zero when m < 2k, without building the series."""
+    The column's last term comes from count_cc(k, m-k), which enters the
+    width's series in the cache (or finds it there) and counts as one ask;
+    the whole column cc(k, k..m-k) is then read once from that cached
+    prefix, expanded through m-k if it is shorter, and convolved with its
+    reverse. Zero when m < 2k, without building the series."""
     _check_width(k)
     if m < 2 * k:
         return 0
+    count_cc(k, m - k)  # the cache's one entry point for a cc width
     col = _cached_prefix(k - 1, gf_C, m - k)[k : m - k + 1]
     return sum(map(mul, col, reversed(col)))
 

@@ -162,9 +162,8 @@ def gf_coeffs(gf: RationalGF, upto: int) -> list[int]:
     """First upto+1 Taylor coefficients of gf, as exact integers.
 
     A denominator equal to (1-t)^e (by its recorded pole order, or else by
-    an exact check) gives e rounds of prefix sums over the numerator from
-    its first nonzero term (cut or zero-padded to upto+1 terms in all; the
-    leading zeros stay zeros and are not summed); any other one gives the
+    an exact check) gives e rounds of prefix sums over the
+    numerator (cut or zero-padded to upto+1 terms); any other one gives the
     denominator recurrence, which requires the normalized denominator to
     have constant term exactly 1 (not merely nonzero).
     """
@@ -175,13 +174,10 @@ def gf_coeffs(gf: RationalGF, upto: int) -> list[int]:
         raise ValueError(f"denominator constant term must be 1, got {den[0]}")
     e = _pole_order(gf)
     if e is not None:
-        # the numerator's leading zeros stay zeros through every round
-        lead = min(next((i for i, c in enumerate(num) if c), 0), upto + 1)
-        coeffs = list(num[lead : upto + 1])
-        coeffs += [0] * (upto + 1 - lead - len(coeffs))
+        coeffs = list(num[: upto + 1]) + [0] * (upto + 1 - len(num))
         for _ in range(e):
             coeffs = list(accumulate(coeffs))
-        return [0] * lead + coeffs
+        return coeffs
     coeffs = []
     for n in range(upto + 1):
         c = num[n] if n < len(num) else 0

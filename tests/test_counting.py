@@ -451,21 +451,19 @@ def test_two_asks_per_width_keep_no_prefix(monkeypatch):
     assert calls == [3001]
 
 
-def test_r_conv_enters_a_cold_width_by_one_expansion(monkeypatch):
-    # no single sum is taken only to be read again from the expansion; the
-    # read counts as the width's first ask, so the next miss is a sum and
-    # the one after it expands
+def test_r_conv_expands_a_cold_width_on_its_first_call(monkeypatch):
+    # the convolution reads the whole column: its count_cc is the width's
+    # first ask, a single sum, and the column read expands the series and
+    # counts as the second, so the next miss grows the prefix
     calls = _counting_series_calls(monkeypatch, ("gf_coeff", "gf_coeffs"))
     by_column = r_conv(12, 200)
-    assert calls == ["gf_coeffs"]
+    assert calls == ["gf_coeff", "gf_coeffs"]
     # each count_cc below is a hit on the expanded prefix
     assert by_column == _r_conv_by_terms(12, 200)
     assert r_conv(12, 100) == _r_conv_by_terms(12, 100)
-    assert calls == ["gf_coeffs"]
+    assert calls == ["gf_coeff", "gf_coeffs"]
     assert count_cc(12, 300) == _cc_binomial_sum(12, 300)
-    assert calls == ["gf_coeffs", "gf_coeff"]
-    assert count_cc(12, 301) == _cc_binomial_sum(12, 301)
-    assert calls == ["gf_coeffs", "gf_coeff", "gf_coeffs"]
+    assert calls == ["gf_coeff", "gf_coeffs", "gf_coeffs"]
 
 
 def test_large_cold_cells_expand_nothing(monkeypatch):

@@ -148,14 +148,6 @@ def test_gf_coeff_before_the_first_nonzero_term():
     assert [gf_coeff(gf, n) for n in range(12)] == [0] * 10 + [1, 5]
     assert gf_coeff(RationalGF((0, 0, 0), one_minus_t_pow(3)), 4) == 0
     assert gf_coeff(RationalGF((0, 0, 7), one_minus_t_pow(1)), 1) == 0
-    # the prefix path sums from the numerator's first nonzero term; cut
-    # below, at and past that index, it matches the single sums, for the
-    # constructors (k and 2k leading zeros) and for series built by a caller
-    cases = [gf_C(6), gf_R(5), RationalGF((0,) * 7 + (3, -1, 2), one_minus_t_pow(4)), RationalGF((0, 0, 7), one_minus_t_pow(1))]
-    for gf in cases:
-        lead = next(i for i, c in enumerate(gf.num) if c)
-        for upto in (0, lead - 1, lead, lead + 1, lead + 20):
-            assert gf_coeffs(gf, upto) == [gf_coeff(gf, n) for n in range(upto + 1)]
 
 
 @given(
