@@ -18,7 +18,10 @@ counts walk the same tree over the same rules without yielding
 every offset; a tail rule per slice kind (_columns_tail, _strata_tail)
 counts the last two in O(1) by closed forms of their per-offset sums. It
 stops at two: summing the earlier slices by extents alone would be the
-transfer-matrix recurrence, a formula route of its own.
+transfer-matrix recurrence, a formula route of its own. A tail depends on
+the slice above only through its extents, and the plateau count keeps
+_strata_tail's per (extents, strata left, area left) for the call
+(_per_shape); the column tail is cheaper to evaluate than to look up.
 
 Directedness is decided by one literal reachability search over the whole
 object (_is_directed): East/North/Ahead unit steps from the minimal
@@ -34,11 +37,15 @@ previous slice's cells, and a prefix is dropped once one of its slices is
 not fully reached. A first slice, a box, is not searched: North and Ahead
 steps from the root cover it. Steps do not depend on where a slice sits,
 so one step map is built per slice extents, at the origin, once per call,
-and a width-1 cell builds none. For the same reason the directed counts
-also end with a tail rule for the last two slices: later slices are
-placed relative to a fully reached slice, so the ways to end below it
-depend only on its extents and the size left; they are searched once per
-shape, kept for the call. It too stops at two slices.
+and a width-1 cell builds none. A verdict depends only on those extents
+and the seed box, so beside each map one verdict byte per seed box
+records whether the box was searched and with what result: each
+(extents, seed box) is searched once per call. For the same reason the
+directed counts also end with a tail rule for the last two slices: later
+slices are placed relative to a fully reached slice, so the ways to end
+below it depend only on its extents and the size left; they are searched
+once per shape and kept for the call by the same _per_shape as the
+plateau tail. It too stops at two slices.
 
 One rule per family (_first_columns, _first_strata) generates the
 normalized first slices an object can start with, in DFS order. The
@@ -53,6 +60,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice, product
+from math import prod
 from typing import Iterable, Iterator
 
 Column = tuple[int, int]
@@ -294,9 +302,33 @@ def _strata_tail(prev: Stratum, strata_left: int, area_left: int) -> int:
             * (56 * A * B * q + 14 * (A + B) * a * q + a * (3 * a ** 3 - 10 * a ** 2 + 5 * a + 18)) // 1680)
 
 
-# (k, size[, firsts]): how many tuples _iter_columns / _iter_strata yields.
+def _per_shape(tail):
+    """tail(prev, slices_left, size_left), kept for the call per (prev
+    extents, slices left, size left): the tails of both kinds of counting
+    DFS depend on prev only through its extents, since every successor is
+    placed relative to prev's offsets."""
+    ends: dict[tuple, int] = {}  # (prev extents, slices left, size left) -> count
+
+    def tail_per_shape(prev: tuple, slices_left: int, size_left: int) -> int:
+        key = (prev[1::2], slices_left, size_left)
+        count = ends.get(key)
+        if count is None:
+            count = ends[key] = tail(prev, slices_left, size_left)
+        return count
+
+    return tail_per_shape
+
+
+# (k, size[, firsts]): how many tuples _iter_columns yields.
 _count_columns = partial(_count_slices, _first_columns, _next_columns, _columns_tail)
-_count_strata = partial(_count_slices, _first_strata, _next_strata, _strata_tail)
+
+
+def _count_strata(k: int, m: int, firsts: Iterable | None = None) -> int:
+    """How many tuples _iter_strata(k, m) yields that start with one of
+    firsts (by default all), with _strata_tail kept per shape for the call
+    (_per_shape): the stratum above the last two sits at many offsets with
+    the same extents."""
+    return _count_slices(_first_strata, _next_strata, _per_shape(_strata_tail), k, m, firsts)
 
 
 def _slice_steps(s: tuple) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -346,16 +378,34 @@ def _reached(successors):
     depend on where a slice sits, so one map per slice extents is built, at
     the origin, once per call: a successor is searched in the map of its
     extents, seeded with its cells one East step from prev, the box where
-    the two slices overlap on every axis, shifted to the successor's origin."""
-    known: dict[tuple, dict] = {}  # extents -> _slice_steps at the origin, never empty
+    the two slices overlap on every axis, shifted to the successor's origin.
+    The verdict depends on nothing else, so beside each map a bytearray
+    keeps one verdict byte per seed box, at the box's bounds [lo, hi) on
+    each axis (ext**2 bytes per axis of extent ext): 0 not searched yet,
+    1 not reached, 2 reached. Each (extents, seed box) is searched once per
+    call, and every later placement reads its byte."""
+    known: dict[tuple, tuple[dict, bytearray]] = {}  # extents -> (step map at the origin, verdicts)
 
     def reached_successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
         prev_los, prev_exts = prev[::2], prev[1::2]
         for nxt, used in successors(prev, slices_left, size_left):
             extents = nxt[1::2]
-            steps = known.get(extents) or known.setdefault(
-                extents, _slice_steps(tuple(v for ext in extents for v in (0, ext))))
-            if _slice_reached(steps, product(*map(_overlap, nxt[::2], extents, prev_los, prev_exts))):
+            known_here = known.get(extents)
+            if known_here is None:
+                known_here = known[extents] = (_slice_steps(tuple(v for ext in extents for v in (0, ext))),
+                                               bytearray(prod(extents) ** 2))
+            steps, verdicts = known_here
+            los = nxt[::2]
+            at = 0
+            for lo, ext, prev_lo, prev_ext in zip(los, extents, prev_los, prev_exts):
+                # the overlap [start, stop) of _overlap, without building it
+                start, stop = prev_lo - lo, prev_lo + prev_ext - lo
+                at = (at * ext + (start if start > 0 else 0)) * ext + (stop if stop < ext else ext) - 1
+            verdict = verdicts[at]
+            if not verdict:
+                box = product(*map(_overlap, los, extents, prev_los, prev_exts))
+                verdict = verdicts[at] = 2 if _slice_reached(steps, box) else 1
+            if verdict == 2:
                 yield nxt, used
 
     return reached_successors
@@ -369,21 +419,17 @@ def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterab
     fully reached, successors are placed relative to its offsets, and steps
     do not depend on where a slice sits, so the ways to end below it with 1
     or 2 slices depend only on its extents and the size left; the tail
-    searches them once per (extents, slices left, size left) and keeps the
-    count for the call. Like _columns_tail and _strata_tail it stops at two
+    searches them once per (extents, slices left, size left) and _per_shape
+    keeps the count for the call, as it keeps _strata_tail's for
+    _count_strata. Like _columns_tail and _strata_tail it stops at two
     slices."""
     reached = _reached(successors)
-    ends: dict[tuple, int] = {}  # (prev extents, slices left, size left) -> count
 
-    def tail(prev: tuple, slices_left: int, size_left: int) -> int:
-        key = (prev[1::2], slices_left, size_left)
-        count = ends.get(key)
-        if count is None:
-            count = ends[key] = sum(
-                1 if slices_left == 1 else tail(nxt, 1, size_left - used)
-                for nxt, used in reached(prev, slices_left, size_left))
-        return count
+    def ends(prev: tuple, slices_left: int, size_left: int) -> int:
+        return sum(1 if slices_left == 1 else tail(nxt, 1, size_left - used)
+                   for nxt, used in reached(prev, slices_left, size_left))
 
+    tail = _per_shape(ends)
     return _count_slices(first_slices, reached, tail, k, size, firsts)
 
 

@@ -612,6 +612,45 @@ def test_no_step_map_is_built_twice(monkeypatch):
                     assert all(not any(s[::2]) for s in built), (family, k, size)
 
 
+def test_each_seed_box_is_searched_once(monkeypatch):
+    # a verdict depends only on the slice's extents and its seed box at the
+    # origin, so one call searches each such pair once and reads it after
+    searched = []
+
+    def recording_search(steps, seeds):
+        seeds = tuple(seeds)
+        searched.append((frozenset(steps), seeds))
+        return _slice_reached(steps, seeds)
+
+    monkeypatch.setattr(oracle, "_slice_reached", recording_search)
+    for family, enum, unit in (("dcc", enum_dcc, 1), ("dplateau", enum_dplateau, 2)):
+        for k in range(2, 5):
+            for size in range(unit * k, 13):
+                for run in (lambda: enum(k, size, workers=1),
+                            lambda: dump_objects(family, k, size, io.StringIO())):
+                    searched.clear()
+                    run()
+                    assert len(searched) == len(set(searched)), (family, k, size)
+        assert searched, family
+
+
+def test_strata_tail_is_evaluated_once_per_shape(monkeypatch):
+    # the tail depends on the stratum above only through its extents
+    evaluated = []
+
+    def recording_tail(prev, strata_left, area_left):
+        evaluated.append((prev[1::2], strata_left, area_left))
+        return _strata_tail(prev, strata_left, area_left)
+
+    monkeypatch.setattr(oracle, "_strata_tail", recording_tail)
+    for k in range(2, 6):
+        for m in range(2 * k, 17):
+            evaluated.clear()
+            assert enum_plateau(k, m, workers=1) == r_gf(k, m), (k, m)
+            assert evaluated, (k, m)
+            assert len(evaluated) == len(set(evaluated)), (k, m)
+
+
 def shifted(s, offsets):
     # the slice s moved by offsets, one per axis
     return tuple(v + offsets[i // 2] if i % 2 == 0 else v for i, v in enumerate(s))
