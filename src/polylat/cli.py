@@ -2,7 +2,8 @@
 
 Subcommands:
 
-    count    one exact count, selectable route (--workers: oracle processes)
+    count    one exact count, selectable route (--workers: oracle shares, one
+             forked child each)
     table    a full table of counts (csv, json or md)
     gf       leading coefficients of one of the generating functions
     verify   run a verification suite, JSON report on stdout
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import asymptotics, gfseries, oracle, reference_tables, verify
@@ -31,7 +33,7 @@ from .gfseries import gf_coeffs
 MAX_WIDTH = 400
 MAX_SIZE = 10_000
 MAX_TABLE_CELLS = 200_000
-# A process pool may start all its workers at once, one process each.
+# Each oracle share runs in its own forked child, and all of them at once.
 MAX_WORKERS = 64
 
 _GF_BUILDERS = {
@@ -63,6 +65,8 @@ def cmd_count(args, parser) -> int:
     message = _over_limit(("--workers", args.workers, MAX_WORKERS))
     if message:
         return _usage_error(parser, message)
+    if args.workers > 1 and not hasattr(os, "fork"):
+        return _usage_error(parser, "--workers > 1 needs os.fork, which this platform lacks")
     family = args.family
     if args.n is not None and args.m is not None:
         return _usage_error(parser, "give one size, -n or -m, not both")

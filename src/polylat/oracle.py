@@ -50,13 +50,13 @@ plateau tail. It too stops at two slices.
 One rule per family (_first_columns, _first_strata) generates the
 normalized first slices an object can start with, in DFS order. The
 iterators and the counting searches loop over it, and with workers > 1
-they are dealt into strided shares, one process-pool task each, whose
-counts are summed, independent of the partition.
+they are dealt into strided shares, each counted in one forked child
+(_sum_forked), whose counts are summed, independent of the partition.
 """
 from __future__ import annotations
 
+import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice, product
@@ -381,10 +381,13 @@ def _reached(successors):
     the two slices overlap on every axis, shifted to the successor's origin.
     The verdict depends on nothing else, so beside each map a bytearray
     keeps one verdict byte per seed box, at the box's bounds [lo, hi) on
-    each axis (ext**2 bytes per axis of extent ext): 0 not searched yet,
-    1 not reached, 2 reached. Each (extents, seed box) is searched once per
-    call, and every later placement reads its byte."""
+    each axis: a seed box is never empty, so 0 <= lo < hi <= ext, and the
+    axis index hi * (hi - 1) // 2 + lo takes ext * (ext + 1) // 2 slots
+    (tri holds the triangular numbers). A byte is 0 not searched yet, 1 not
+    reached, 2 reached. Each (extents, seed box) is searched once per call,
+    and every later placement reads its byte."""
     known: dict[tuple, tuple[dict, bytearray]] = {}  # extents -> (step map at the origin, verdicts)
+    tri = [0]  # n -> n * (n - 1) // 2: the boxes [lo, hi) with hi < n
 
     def reached_successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
         prev_los, prev_exts = prev[::2], prev[1::2]
@@ -392,15 +395,16 @@ def _reached(successors):
             extents = nxt[1::2]
             known_here = known.get(extents)
             if known_here is None:
+                tri.extend(n * (n - 1) // 2 for n in range(len(tri), max(extents) + 2))
                 known_here = known[extents] = (_slice_steps(tuple(v for ext in extents for v in (0, ext))),
-                                               bytearray(prod(extents) ** 2))
+                                               bytearray(prod(tri[ext + 1] for ext in extents)))
             steps, verdicts = known_here
             los = nxt[::2]
             at = 0
             for lo, ext, prev_lo, prev_ext in zip(los, extents, prev_los, prev_exts):
                 # the overlap [start, stop) of _overlap, without building it
                 start, stop = prev_lo - lo, prev_lo + prev_ext - lo
-                at = (at * ext + (start if start > 0 else 0)) * ext + (stop if stop < ext else ext) - 1
+                at = at * tri[ext + 1] + tri[stop if stop < ext else ext] + (start if start > 0 else 0)
             verdict = verdicts[at]
             if not verdict:
                 box = product(*map(_overlap, los, extents, prev_los, prev_exts))
@@ -462,21 +466,80 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
 
 
 def _count_share(count, first_slices, k: int, size: int, shares: int, share: int) -> int:
-    """One pool task: count(k, size) over the first slices numbered share,
-    share + shares, share + 2 * shares, ... in DFS order."""
+    """One share's count: count(k, size) over the first slices numbered
+    share, share + shares, share + 2 * shares, ... in DFS order."""
     return count(k, size, islice(first_slices(k, size), share, None, shares))
+
+
+def _sum_forked(task, shares: int) -> int:
+    """The sum of task(share) over range(shares), each share run in a child
+    forked for it. A child writes its count in decimal to its own pipe and
+    leaves by os._exit, so it flushes no stdio buffer inherited from the
+    parent and runs no atexit handler; a share that raises writes nothing
+    (its traceback goes to file descriptor 2) and exits 1. Every child is
+    reaped before this returns or raises, and on an error the children
+    still running are killed first. A child that exits non-zero or writes
+    nothing makes it raise: a failed share never gives a wrong sum."""
+    pipes: dict[int, int] = {}  # child pid -> read end of its pipe
+    counts: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for share in range(shares):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "w") as pipe:
+                        pipe.write(str(task(share)))
+                    status = 0
+                except BaseException:
+                    import traceback
+
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            pipes[pid] = read_end
+        for share, read_end in enumerate(pipes.values()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                counts.append(pipe.read())
+            if not counts[-1]:
+                raise RuntimeError(f"oracle share {share} of {shares} wrote no count")
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid in pipes:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, read_end in pipes.items():
+            os.close(read_end)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for share, status in enumerate(statuses):
+        if status:
+            raise RuntimeError(f"oracle share {share} of {shares} exited with status {status}")
+    return sum(map(int, counts))
 
 
 def _enum(count, first_slices, k: int, size: int, workers: int) -> int:
     """count(k, size), or with workers > 1 and more than one first slice
     the sum of count over min(workers, first slices) strided shares of
-    first_slices(k, size), one pool task and process each. Each task
-    generates its own share: no list of the first slices is built."""
+    first_slices(k, size), one forked child each. Each child generates its
+    own share: no list of the first slices is built. workers > 1 needs
+    os.fork."""
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError("workers > 1 needs os.fork, which this platform lacks")
     shares = len(list(islice(first_slices(k, size), workers))) if workers > 1 else 1
     if shares < 2:
         return count(k, size)
-    with ProcessPoolExecutor(max_workers=shares) as pool:
-        return sum(pool.map(partial(_count_share, count, first_slices, k, size, shares), range(shares)))
+    return _sum_forked(partial(_count_share, count, first_slices, k, size, shares), shares)
 
 
 def enum_cc(k: int, n: int, workers: int = 1) -> int:

@@ -2,6 +2,7 @@
 import argparse
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -297,15 +298,29 @@ def test_workers_must_be_positive(capsys, workers):
 
 @pytest.mark.parametrize("workers", ["65", "100000"])
 def test_workers_over_limit(capsys, monkeypatch, workers):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a child was forked")
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(oracle, "_sum_forked", no_fork)
     code, out, err = run_cli(
         capsys, "count", "--family", "plateau", "-k", "3", "-m", "9", "--method", "oracle", "--workers", workers
     )
     assert (code, out) == (2, "")
     assert f"--workers {workers} is over the limit of {MAX_WORKERS}" in err
+
+
+def test_workers_need_fork(capsys, monkeypatch):
+    # where os.fork is missing, --workers > 1 is a usage error, not a traceback
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run_cli(
+        capsys, "count", "--family", "plateau", "-k", "3", "-m", "9", "--method", "oracle", "--workers", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --workers > 1 needs os.fork, which this platform lacks\n")
+    code, out, _ = run_cli(
+        capsys, "count", "--family", "plateau", "-k", "3", "-m", "9", "--method", "oracle", "--workers", "1"
+    )
+    assert (code, out) == (0, "666\n")
 
 
 @pytest.mark.parametrize("method", [["--method", "gf"], []])

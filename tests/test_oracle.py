@@ -1,10 +1,15 @@
 """Geometric brute force: object validity, agreement with the formula
 routes, projections, directedness, and the dump format."""
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import islice
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +23,7 @@ from polylat.oracle import (
     _columns_tail,
     _count_columns,
     _count_reachable,
+    _count_share,
     _count_slices,
     _count_strata,
     _first_columns,
@@ -306,10 +312,10 @@ def test_iter_objects_are_distinct_and_sized():
 
 def test_single_first_slice_starts_no_pool(monkeypatch):
     # k = 1 (one first column) and m = 2k (one first stratum) run serially
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a child was forked")
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(oracle, "_sum_forked", no_fork)
     assert list(_first_columns(1, 7)) == [(0, 7)] and list(_first_strata(2, 4)) == [(0, 1, 0, 1)]
     assert enum_cc(1, 7, workers=2) == enum_dcc(1, 7, workers=2) == 1
     assert enum_plateau(2, 4, workers=2) == enum_dplateau(2, 4, workers=2) == 1
@@ -317,25 +323,15 @@ def test_single_first_slice_starts_no_pool(monkeypatch):
 
 def test_pool_shares_are_generated_by_the_tasks(monkeypatch):
     # 1,995,003 first strata at (2, 2000): two workers get two strided
-    # shares, and the pool does not list the first strata (the fake pool
-    # runs no share; test_workers_partitioning_matches_serial runs them)
+    # shares, and the parent does not list the first strata (the recording
+    # helper forks no child; test_workers_partitioning_matches_serial runs them)
     submitted = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            assert max_workers == 2
+    def recording_sum(task, shares):
+        submitted.extend(range(shares))
+        return 0
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, task, shares):
-            submitted.extend(shares)
-            return [0] * len(submitted)
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(oracle, "_sum_forked", recording_sum)
     tracemalloc.start()
     try:
         assert enum_plateau(2, 2000, workers=2) == 0
@@ -344,6 +340,65 @@ def test_pool_shares_are_generated_by_the_tasks(monkeypatch):
         tracemalloc.stop()
     assert submitted == [0, 1]
     assert peak < 1_000_000
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_failed_share_raises_and_leaves_no_child(monkeypatch, failing):
+    # a share that raises writes no count: the call raises instead of
+    # summing the other share, and every child is reaped first
+    def share_count(count, first_slices, k, size, shares, share):
+        if share == failing:
+            raise RuntimeError("this share fails")
+        return _count_share(count, first_slices, k, size, shares, share)
+
+    monkeypatch.setattr(oracle, "_count_share", share_count)
+    for enum in (enum_cc, enum_dcc, enum_plateau, enum_dplateau):
+        with pytest.raises(RuntimeError, match=f"share {failing} of 2"):
+            enum(3, 9, workers=2)
+        assert_no_child_left()
+
+
+def test_forked_shares_leave_no_child():
+    assert enum_plateau(3, 9, workers=2) == 666
+    assert enum_dplateau(3, 12, workers=2) == enum_dplateau(3, 12) == 5005
+    assert_no_child_left()
+
+
+def test_forked_share_status_is_checked(monkeypatch):
+    # the counts are summed only when every child wrote one and exited 0
+    assert oracle._sum_forked(lambda share: share + 1, 3) == 6
+    with pytest.raises(RuntimeError, match="share 1 of 2 wrote no count"):
+        oracle._sum_forked(lambda share: os._exit(0) if share else 1, 2)
+    assert_no_child_left()
+    real_exit = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: real_exit(status + 3))
+    with pytest.raises(RuntimeError, match="share 0 of 2 exited with status 3"):
+        oracle._sum_forked(lambda share: share + 1, 2)
+    assert_no_child_left()
+
+
+def test_workers_need_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    for enum in (enum_cc, enum_dcc, enum_plateau, enum_dplateau):
+        with pytest.raises(ValueError, match="needs os.fork"):
+            enum(3, 9, workers=2)
+        assert enum(3, 9, workers=1) == enum(3, 9)
+
+
+def test_import_loads_no_process_pool():
+    # the forked shares need only os: importing the package and its CLI
+    # loads neither concurrent.futures nor multiprocessing
+    src = str(Path(oracle.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = ("import sys, polylat, polylat.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_first_slices_are_generated_on_demand():
@@ -369,8 +424,8 @@ def test_workers_partitioning_matches_serial():
     assert enum_plateau(3, 9, workers=2) == enum_plateau(3, 9) == 666
     assert enum_dplateau(2, 7, workers=2) == enum_dplateau(2, 7)
     assert enum_dplateau(1, 9, workers=2) == 8
-    # the staged search over strided shares of the first slices, as the pool
-    # tasks run it, sums to the serial count
+    # the staged search over strided shares of the first slices, as the forked
+    # children run it, sums to the serial count
     for first, nxt, enum, unit in ((_first_columns, _next_columns, enum_dcc, 1),
                                    (_first_strata, _next_strata, enum_dplateau, 2)):
         for k in range(1, 5):
@@ -632,6 +687,31 @@ def test_each_seed_box_is_searched_once(monkeypatch):
                     run()
                     assert len(searched) == len(set(searched)), (family, k, size)
         assert searched, family
+
+
+def test_verdict_tables_index_only_real_boxes(monkeypatch):
+    # a seed box [lo, hi) has lo < hi, so an axis of extent ext has
+    # ext * (ext + 1) // 2 boxes, and each table holds one byte per box
+    built, sizes = [], []
+
+    def recording_steps(s):
+        built.append(s[1::2])
+        return _slice_steps(s)
+
+    class RecordingBytes(bytearray):
+        def __init__(self, size):
+            sizes.append(size)
+            super().__init__(size)
+
+    monkeypatch.setattr(oracle, "_slice_steps", recording_steps)
+    monkeypatch.setattr(oracle, "bytearray", RecordingBytes, raising=False)
+    for enum, k, size, count in ((enum_dcc, 4, 14, 8008), (enum_dplateau, 2, 14, 3003),
+                                 (enum_dplateau, 3, 14, 24310)):
+        built.clear()
+        sizes.clear()
+        assert enum(k, size) == count
+        assert built, (enum, k, size)
+        assert sizes == [prod(ext * (ext + 1) // 2 for ext in extents) for extents in built], (enum, k, size)
 
 
 def test_strata_tail_is_evaluated_once_per_shape(monkeypatch):
