@@ -17,18 +17,17 @@ widths.
 Out-of-support inputs return 0 rather than raising. Only structurally
 meaningless arguments (width < 1, unknown family) raise.
 
-Single counts read one width's series. count_cc and r_gf share a
-per-process cache of series and expanded prefixes (_cached_coeff), where
-a hit is one list index. A width's first two asks past its prefix are one
-binomial sum each, and only its third expands the series, through the
-largest size asked: a sum costs one term per numerator coefficient, an
-expansion e rounds over every term up to n, and most widths that a stream
-of single counts touches are asked once or twice. Each convolution route
-builds one column and sums it against its own reverse: r_conv reads the
-whole cc column from the width's cached prefix (entered through
-count_cc), so it expands on its first call, and s_conv walks the dcc
-column by exact binomial ratios, so it stays independent of s_closed and
-of the dplateau series.
+Single counts read one width's series. count_cc and r_gf keep a
+per-process cache of series and expanded prefixes, one dict per series
+factory keyed by width, and answer a hit in their own body (one dict
+lookup and one list index). A width's first two asks past its prefix are
+one binomial sum each, and only its third expands the series, through the
+largest size asked (_cached_coeff). The cache keeps at most
+SERIES_CACHE_BITS bits, evicting whole widths, the oldest stored first.
+r_conv reads the whole cc column from the width's cached prefix, so it
+expands on its first call, and s_conv walks the dcc column by exact
+binomial ratios, independent of s_closed; each convolution sums its column
+against its own reverse.
 
 The triple-binomial formula published for the column-convex counts
 (alpha_lemma below) does not reproduce the published table of first values;
@@ -64,7 +63,8 @@ a polynomial identity in F_(w-2), F_(w-1), a and b.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, count
+from math import comb
 from operator import add, mul
 from typing import Callable
 
@@ -73,17 +73,17 @@ from .gfseries import Poly, RationalGF, gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs,
 from .oracle import enum_cc, enum_dcc, enum_dplateau, enum_plateau
 
 
-def _check_width(k: int) -> int:
+def _check_width(k: int) -> None:
     if k < 1:
         raise ValueError(f"width must be >= 1, got {k}")
-    return k
 
 
 def count_dcc(k: int, n: int) -> int:
     """Directed column-convex polyominoes with k columns and area n:
     C(n+k-2, n-k). Zero when n < k."""
-    _check_width(k)
-    return binomial(n + k - 2, n - k)
+    if k < 1:
+        _check_width(k)
+    return comb(n + k - 2, n - k) if n >= k else 0
 
 
 def s_conv(k: int, n: int) -> int:
@@ -106,8 +106,9 @@ def s_conv(k: int, n: int) -> int:
 def s_closed(k: int, n: int) -> int:
     """Directed plateau polycubes of width k and lateral area n, closed form:
     C(n+2k-3, n-2k). Zero when n < 2k."""
-    _check_width(k)
-    return binomial(n + 2 * k - 3, n - 2 * k)
+    if k < 1:
+        _check_width(k)
+    return comb(n + 2 * k - 3, n - 2 * k) if n >= 2 * k else 0
 
 
 def alpha_lemma(k: int, u: int) -> int:
@@ -130,88 +131,100 @@ def alpha_lemma(k: int, u: int) -> int:
     )
 
 
-# (series factory, width) -> (series, asks past its cached prefix, largest
-# size asked, expanded prefix)
-_SERIES_CACHE: dict[tuple[Callable[[int], RationalGF], int], tuple[RationalGF, int, int, list[int]]] = {}
+# The series cache, one dict per series factory: width k -> (expanded prefix,
+# series gf_C(k-1) or gf_R(k), asks past the prefix, largest size asked, bits
+# kept, store order). Its bound on the bits of numerators and prefixes is 1.5
+# times the 66.4 million that asympt --family plateau --offset 196 keeps.
+SERIES_CACHE_BITS = 100_000_000
+_SERIES_CACHE = _CC_SERIES, _R_SERIES = {}, {}
+_STORES = count()
 
 
-def _cached_prefix(k: int, gf_factory: Callable[[int], RationalGF], n: int) -> list[int]:
-    """The cached prefix of a per-width series that has a cache entry,
-    expanded through at least term n; an expansion counts as one ask and
-    runs from term 0 to the largest of n, the largest size asked so far,
-    twice the expanded length and 32."""
-    key = (gf_factory, k)
-    gf, asks, largest, coeffs = _SERIES_CACHE[key]
-    if n >= len(coeffs):
+def _keep(cache: dict[int, tuple], k: int, entry: tuple) -> None:
+    """Store width k's entry, then evict other widths, the oldest stored
+    first, while the cache keeps more than SERIES_CACHE_BITS."""
+    cache[k] = entry
+    excess = sum(e[4] for c in _SERIES_CACHE for e in tuple(c.values())) - SERIES_CACHE_BITS
+    if excess > 0:
+        for _, bits, c, w in sorted((e[5], e[4], c, w) for c in _SERIES_CACHE for w, e in tuple(c.items())):
+            if excess > 0 and (c is not cache or w != k):
+                c.pop(w, None)
+                excess -= bits
+
+
+def _cached_prefix(cache: dict[int, tuple], k: int, n: int) -> list[int]:
+    """The cached prefix of a width in the cache, expanded through at least
+    term n; an expansion counts as one ask and runs through the largest of
+    n, the largest size asked, twice the expanded length and 32."""
+    prefix, gf, asks, largest, bits, order = cache[k]
+    if n >= len(prefix):
         largest = max(largest, n)
-        coeffs = gf_coeffs(gf, max(largest, 2 * len(coeffs), 32))
-        _SERIES_CACHE[key] = (gf, asks + 1, largest, coeffs)
-    return coeffs
+        prefix = gf_coeffs(gf, max(largest, 2 * len(prefix), 32))
+        bits = sum(map(int.bit_length, chain(gf.num, prefix)))
+        _keep(cache, k, (prefix, gf, asks + 1, largest, bits, order))
+    return prefix
 
 
-def _cached_coeff(k: int, gf_factory: Callable[[int], RationalGF], n: int) -> int:
-    """Coefficient [t^n] of a per-width series, cached per process.
-
-    A query within the expanded prefix is a hit: a list index, taken here
-    with no further call. A width's first two asks past the prefix build
-    its series once, keep it in the cache entry and answer by one binomial
-    sum each (gf_coeff); the third expands the kept series through the
+def _cached_coeff(cache: dict[int, tuple], k: int, n: int, factory: Callable[[int], RationalGF], index: int) -> int:
+    """Coefficient [t^n] of width k's series factory(index) on a cache miss;
+    count_cc and r_gf answer a hit (n within the expanded prefix) in their
+    own body. A width's first two asks past the prefix build its series
+    once, keep it and answer by one binomial sum each (gf_coeff): a sum
+    costs about one term per numerator coefficient, an expansion e rounds
+    over every term up to n. The third expands the series through the
     largest size asked so far, and later misses grow it by _cached_prefix's
-    rule. A sum costs about one term per numerator coefficient and an
-    expansion e rounds over every term up to n, so a width asked once or
-    twice pays for no prefix, and one asked over and over pays one sum more
-    than if it had expanded at its second ask. The rule reads only how
-    often the width has been asked. A width asked for sizes in increasing
-    order expands about log2(n) times; asked for its largest size first (as
-    build_table asks for its seed widths), it expands once, at its third
-    query. Every entry written holds exact values, so concurrent use is
-    safe: a race can only lose an ask or a prefix, never a value."""
-    key = (gf_factory, k)
-    entry = _SERIES_CACHE.get(key)
-    if entry is not None:
-        coeffs = entry[3]
-        if n < len(coeffs):
-            return coeffs[n]
-    gf, asks, largest, coeffs = entry or (gf_factory(k), 0, n, [])
-    if asks < 2:
-        _SERIES_CACHE[key] = (gf, asks + 1, max(largest, n), coeffs)
+    rule. A store past SERIES_CACHE_BITS evicts whole widths, the oldest
+    stored first, never the one being served; a hit records nothing. Every
+    entry written holds exact values, so concurrent use is safe: a race can
+    only lose an ask or a prefix, never a value."""
+    entry = cache.get(k)
+    if entry is None:
+        gf = factory(index)
+        _keep(cache, k, ([], gf, 1, n, sum(map(int.bit_length, gf.num)), next(_STORES)))
         return gf_coeff(gf, n)
-    return _cached_prefix(k, gf_factory, n)[n]
+    prefix, gf, asks, largest, bits, order = entry
+    if asks < 2:
+        cache[k] = (prefix, gf, asks + 1, max(largest, n), bits, order)
+        return gf_coeff(gf, n)
+    return _cached_prefix(cache, k, n)[n]
 
 
 def count_cc(k: int, n: int) -> int:
-    """Column-convex polyominoes with k columns and area n, from the
-    width-indexed generating function (the authoritative route): a
-    width's first two asks are one binomial sum each, later ones read its
-    cached expansion. Zero when n < k, without building the series."""
+    """Column-convex polyominoes with k columns and area n, from the cached
+    width-indexed generating function (the authoritative route; see
+    _cached_coeff). Zero when n < k, without building the series."""
+    entry = _CC_SERIES.get(k)
+    if entry is not None and 0 <= n < len(entry[0]):
+        return entry[0][n]
     _check_width(k)
-    return _cached_coeff(k - 1, gf_C, n) if n >= k else 0
+    return _cached_coeff(_CC_SERIES, k, n, gf_C, k - 1) if n >= k else 0
 
 
 def r_conv(k: int, m: int) -> int:
     """Plateau polycubes of width k and lateral area m, by the convolution
     over the two projection areas: sum_{i=k..m-k} cc(k,i) * cc(k,m-i).
 
-    The column's last term comes from count_cc(k, m-k), which enters the
-    width's series in the cache (or finds it there) and counts as one ask;
-    the whole column cc(k, k..m-k) is then read once from that cached
-    prefix, expanded through m-k if it is shorter, and convolved with its
+    count_cc(k, m-k) enters the width's series in the cache (or finds it
+    there) as one ask; the column cc(k, k..m-k) is then read once from its
+    cached prefix, expanded through m-k if shorter, and convolved with its
     reverse. Zero when m < 2k, without building the series."""
     _check_width(k)
     if m < 2 * k:
         return 0
     count_cc(k, m - k)  # the cache's one entry point for a cc width
-    col = _cached_prefix(k - 1, gf_C, m - k)[k : m - k + 1]
+    col = _cached_prefix(_CC_SERIES, k, m - k)[k : m - k + 1]
     return sum(map(mul, col, reversed(col)))
 
 
 def r_gf(k: int, m: int) -> int:
     """Plateau polycubes of width k and lateral area m, as the p^m
-    coefficient of the squared column-convex generating function: a
-    width's first two asks are one binomial sum each, later ones read its
-    cached expansion. Zero when m < 2k, without building the series."""
+    coefficient of the cached squared column-convex generating function
+    (see _cached_coeff). Zero when m < 2k, without building the series."""
+    entry = _R_SERIES.get(k)
+    if entry is not None and 0 <= m < len(entry[0]):
+        return entry[0][m]
     _check_width(k)
-    return _cached_coeff(k, gf_R, m) if m >= 2 * k else 0
+    return _cached_coeff(_R_SERIES, k, m, gf_R, k) if m >= 2 * k else 0
 
 
 @dataclass

@@ -16,12 +16,11 @@ through the induced linear recurrence
 
     c_n = num_n - sum_{i>=1} den_i * c_{n-i}.
 
-The constructors below record e as the series' pole order, so neither
-path rebuilds (1-t)^e to recognise their denominator; a RationalGF built
-by a caller records none, and its denominator is compared with the
-rebuilt row exactly. The constructors build each (1-t)^e row once per
-process and share it, and they read the Delannoy anti-diagonals that
-combinatorics keeps.
+The constructors below record e as the series' pole order in place of a
+denominator, so neither path builds (1-t)^e, and only equality, hash or
+repr build it, through den; a RationalGF built by a caller records none,
+and its denominator is compared with the rebuilt row exactly. The
+constructors read the Delannoy anti-diagonals that combinatorics keeps.
 
 Constructors are provided for every series the toolkit studies:
 
@@ -111,9 +110,9 @@ class RationalGF:
     """num/den with integer coefficients; den normalized to constant term 1.
 
     pole is e when den is known to be (1-t)^e, else None. Only the
-    constructors below set it, for the denominators they take from
-    one_minus_t_pow(e); it takes no part in equality, hash or repr, and a
-    RationalGF built by a caller has None, so its shape is checked exactly."""
+    constructors below set it, and they keep no den: reading it builds
+    one_minus_t_pow(pole), so equality, hash and repr are as for a caller's
+    RationalGF, which has None and whose shape is checked exactly."""
 
     num: Poly
     den: Poly
@@ -130,21 +129,19 @@ class RationalGF:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    def __getattr__(self, name):
+        if name == "den" and self.pole is not None:
+            return one_minus_t_pow(self.pole)
+        raise AttributeError(name)
+
 
 ZERO_GF = RationalGF((), (1,))
 
-# (1-t)^e by e, built on first use: the constructors' denominators, shared
-# by every series of the same pole order.
-_ONE_MINUS_T_POW: dict[int, Poly] = {}
-
 
 def _over_one_minus_t(num, e: int) -> RationalGF:
-    """num / (1-t)^e, with its pole order recorded and its denominator
-    shared with every other series of order e."""
-    den = _ONE_MINUS_T_POW.get(e)
-    if den is None:
-        den = _ONE_MINUS_T_POW.setdefault(e, one_minus_t_pow(e))
-    gf = RationalGF(num, den)
+    """num / (1-t)^e, with its pole order recorded and no denominator kept."""
+    gf = object.__new__(RationalGF)
+    object.__setattr__(gf, "num", poly_trim(num))
     object.__setattr__(gf, "pole", e)
     return gf
 
@@ -169,15 +166,15 @@ def gf_coeffs(gf: RationalGF, upto: int) -> list[int]:
     """
     if upto < 0:
         raise ValueError(f"upto must be >= 0, got {upto}")
-    num, den = gf.num, gf.den
-    if den[0] != 1:
-        raise ValueError(f"denominator constant term must be 1, got {den[0]}")
-    e = _pole_order(gf)
+    num, e = gf.num, _pole_order(gf)
     if e is not None:
         coeffs = list(num[: upto + 1]) + [0] * (upto + 1 - len(num))
         for _ in range(e):
             coeffs = list(accumulate(coeffs))
         return coeffs
+    den = gf.den
+    if den[0] != 1:
+        raise ValueError(f"denominator constant term must be 1, got {den[0]}")
     coeffs = []
     for n in range(upto + 1):
         c = num[n] if n < len(num) else 0

@@ -1,5 +1,8 @@
 """Formula-based counters: frozen values from the published tables, route
 agreement, supports, and the published near-minimal-size polynomials."""
+import sys
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,9 +250,41 @@ def _cc_binomial_sum(k, n):
     return sum(delannoy_closed(k - 1 - i, i) * binomial(n - k - i + 2 * k - 2, 2 * k - 2) for i in range(k))
 
 
+def _clear_series_cache():
+    for cache in counting._SERIES_CACHE:
+        cache.clear()
+
+
+def _kept_series():
+    """(factory, index) of every series in the cache: count_cc keeps gf_C(k-1)
+    and r_gf keeps gf_R(k) under the width k."""
+    cc, r = counting._SERIES_CACHE
+    return {(gf_C, k - 1) for k in cc} | {(gf_R, k) for k in r}
+
+
+@contextmanager
+def _fresh_series_cache():
+    """An empty series cache inside the block; the entries come back after it."""
+    saved = [dict(cache) for cache in counting._SERIES_CACHE]
+    _clear_series_cache()
+    try:
+        yield
+    finally:
+        for cache, entries in zip(counting._SERIES_CACHE, saved):
+            cache.clear()
+            cache.update(entries)
+
+
+def _empty_series_cache(monkeypatch):
+    """Empty every dict of the series cache; the entries come back after the test."""
+    for cache in counting._SERIES_CACHE:
+        for k in list(cache):
+            monkeypatch.delitem(cache, k)
+
+
 def _counting_expansions(monkeypatch):
     """Start from an empty series cache and count the series expansions."""
-    monkeypatch.setattr(counting, "_SERIES_CACHE", {})
+    _empty_series_cache(monkeypatch)
     calls = []
     expand = counting.gf_coeffs
 
@@ -270,22 +305,17 @@ CACHED_ROUTES = {"count_cc": count_cc, "r_conv": r_conv, "r_gf": r_gf}
 def test_cached_routes_in_any_order_match_a_fresh_cache(queries):
     # count_cc and r_conv share each width's cache entry; sizes up to 80
     # cross the cache's growth steps 32 and 66
-    saved = dict(counting._SERIES_CACHE)
-    try:
-        fresh = []
-        for name, k, size in queries:
-            counting._SERIES_CACHE.clear()
+    fresh = []
+    for name, k, size in queries:
+        with _fresh_series_cache():
             fresh.append(CACHED_ROUTES[name](k, size))
-        counting._SERIES_CACHE.clear()
+    with _fresh_series_cache():
         assert [CACHED_ROUTES[name](k, size) for name, k, size in queries] == fresh
-    finally:
-        counting._SERIES_CACHE.clear()
-        counting._SERIES_CACHE.update(saved)
 
 
 def _counting_series_calls(monkeypatch, names=("gf_C", "gf_R", "gf_coeff", "gf_coeffs")):
     """Start from an empty series cache and record the series code called."""
-    monkeypatch.setattr(counting, "_SERIES_CACHE", {})
+    _empty_series_cache(monkeypatch)
     calls = []
     for name in names:
         fn = getattr(counting, name)
@@ -330,7 +360,7 @@ def test_cells_outside_the_support_expand_nothing(monkeypatch):
     assert r_gf(40, 70) == 0
     assert r_conv(40, 70) == 0
     assert calls == []
-    assert counting._SERIES_CACHE == {}
+    assert _kept_series() == set()
 
 
 def test_build_table_cc_past_cache_growths(monkeypatch):
@@ -341,13 +371,13 @@ def test_build_table_cc_past_cache_growths(monkeypatch):
     calls = _counting_expansions(monkeypatch)
     table = build_table("cc", 24, 140)
     assert calls == [140] * len(WIDTH_RECURRENCE["cc"])
-    assert set(counting._SERIES_CACHE) == {(gf_C, 0), (gf_C, 1)}
+    assert _kept_series() == {(gf_C, 0), (gf_C, 1)}
     for k in range(1, 25):
         assert [table.value(k, n) for n in range(1, 141)] == [_cc_binomial_sum(k, n) for n in range(1, 141)]
     # cells asked for in increasing size order grow the cache step by step
     # and reach the same values
     calls.clear()
-    counting._SERIES_CACHE.clear()
+    _clear_series_cache()
     for k in (1, 12, 24):
         assert [count_cc(k, n) for n in range(1, 141)] == [table.value(k, n) for n in range(1, 141)]
     assert calls == [32, 66, 134, 270] * 3
@@ -357,7 +387,7 @@ def test_build_table_plateau_past_cache_growths(monkeypatch):
     calls = _counting_expansions(monkeypatch)
     table = build_table("plateau", 12, 140)
     assert calls == [140] * len(WIDTH_RECURRENCE["plateau"])
-    assert set(counting._SERIES_CACHE) == {(gf_R, k) for k in (1, 2, 3)}
+    assert _kept_series() == {(gf_R, k) for k in (1, 2, 3)}
     for k in range(1, 13):
         assert [table.value(k, m) for m in range(2, 141)] == [r_conv(k, m) for m in range(2, 141)]
 
@@ -443,12 +473,100 @@ def test_two_asks_per_width_keep_no_prefix(monkeypatch):
         assert r_gf(k, 3000) > 0
         by_sum[k] = r_gf(k, 3001)
     assert calls == []
-    assert len(counting._SERIES_CACHE) == 6
-    assert all(coeffs == [] for *_, coeffs in counting._SERIES_CACHE.values())
+    assert len(_kept_series()) == 6
+    assert all(entry[0] == [] for cache in counting._SERIES_CACHE for entry in cache.values())
     # the convolution reads the whole column, so it expands at once, through
     # the largest size asked of the width
     assert r_conv(40, 3001) == by_sum[40]
     assert calls == [3001]
+
+
+def _warm(route, k, sizes=(40, 39, 38)):
+    """Ask a width three times, so that its third ask expands its prefix."""
+    for size in sizes:
+        route(k, size)
+    return (counting._CC_SERIES if route is count_cc else counting._R_SERIES)[k][0]
+
+
+def test_hits_at_a_cached_width_cover_the_prefix_edges(monkeypatch):
+    _empty_series_cache(monkeypatch)
+    for route, k, least, by_terms in ((count_cc, 5, 5, _cc_binomial_sum), (r_gf, 4, 8, _r_conv_by_terms)):
+        prefix = _warm(route, k)
+        last = len(prefix) - 1
+        assert last >= 40 and prefix[last] > 0
+        # the last index is a hit, the one past it a miss that grows the prefix
+        assert route(k, last) == by_terms(k, last)
+        assert route(k, last + 1) == by_terms(k, last + 1)
+        # a negative size is no index into the prefix, and below the support
+        # the prefix's zeros are the answer
+        assert [route(k, size) for size in (-1, -2, -last, -last - 1)] == [0] * 4
+        assert [route(k, size) for size in range(least)] == [0] * least
+        assert route(k, least) == 1
+        for width in (0, -1):
+            with pytest.raises(ValueError, match="width must be >= 1"):
+                route(width, 10)
+    for route, below in ((count_dcc, 2), (s_closed, 5)):
+        assert route(3, -5) == route(3, 0) == route(3, below) == 0 < route(3, below + 1)
+        with pytest.raises(ValueError, match="width must be >= 1"):
+            route(0, 10)
+
+
+def test_a_hit_calls_nothing_else_in_polylat(monkeypatch):
+    # a hit is answered in the route's own body: its frame is the only
+    # Python-level call that a polylat module sees
+    _empty_series_cache(monkeypatch)
+    expected = [_warm(count_cc, 5)[20], _warm(r_gf, 4)[30]]
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("polylat"):
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        values = [count_cc(5, 20), r_gf(4, 30)]
+    finally:
+        sys.setprofile(previous)
+    assert calls == ["count_cc", "r_gf"]
+    assert values == expected
+
+
+def _fresh_cache_value(route, k, size):
+    with _fresh_series_cache():
+        return route(k, size)
+
+
+def test_the_cache_bound_is_reached_and_held(monkeypatch):
+    # widths 1-10 of both routes asked three times each keep 35,775 bits
+    # without a bound, 3 times this one; the largest entry keeps 2,751
+    bound = 12_000
+    monkeypatch.setattr(counting, "SERIES_CACHE_BITS", bound)
+    _empty_series_cache(monkeypatch)
+    created, evicted = [], False
+    for k in range(1, 11):
+        for route, cache in ((count_cc, counting._CC_SERIES), (r_gf, counting._R_SERIES)):
+            created.append((route, k))
+            for size in (60, 61, 62):
+                assert route(k, size) == _fresh_cache_value(route, k, size)
+                entries = [(entry, (r, w)) for r, c in ((count_cc, counting._CC_SERIES), (r_gf, counting._R_SERIES))
+                           for w, entry in c.items()]
+                assert all(e[4] == sum(x.bit_length() for x in (*e[1].num, *e[0])) for e, _ in entries)
+                assert sum(e[4] for e, _ in entries) <= bound
+                # the width being served stays, and eviction takes the oldest
+                # widths first, so what is kept is the newest of those created
+                kept = {key for _, key in entries}
+                assert (route, k) in kept
+                assert kept == set(created[len(created) - len(kept):])
+                evicted = evicted or len(kept) < len(created)
+    assert evicted
+    # a growing width keeps its age, so the oldest kept one, grown past its
+    # prefix, is the oldest width in the cache yet is not evicted
+    route, k = next(key for key in created if key in kept)
+    assert route(k, 70) == _fresh_cache_value(route, k, 70)
+    cache = counting._CC_SERIES if route is count_cc else counting._R_SERIES
+    assert len(cache[k][0]) > 70
+    assert sum(e[4] for c in counting._SERIES_CACHE for e in c.values()) <= bound
 
 
 def test_r_conv_expands_a_cold_width_on_its_first_call(monkeypatch):

@@ -282,12 +282,14 @@ def test_pole_order_is_invisible():
         built = gf_S_k(k)
         by_hand = RationalGF([0] * (2 * k) + [1], list(one_minus_t_pow(4 * k - 2)))
         assert built.pole == 4 * k - 2 and by_hand.pole is None
-        # one denominator object per pole order, shared by the constructors
-        assert built.den is gf_S_k(k).den is gf_R(k).den
-        assert gf_C(k).den is gf_dcc_width(k + 1).den
+        # the constructors of one pole order give equal denominators
+        assert built.den == gf_S_k(k).den == gf_R(k).den
+        assert gf_C(k).den == gf_dcc_width(k + 1).den
         assert built == by_hand
         assert hash(built) == hash(by_hand)
         assert repr(built) == repr(by_hand)
+        # a constructor's series keeps its pole order, not its row
+        assert "den" not in vars(built) and "den" in vars(by_hand)
     assert gf_S().pole is None
     with pytest.raises(TypeError):
         RationalGF((1,), (1, -1), pole=1)
