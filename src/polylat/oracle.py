@@ -11,17 +11,16 @@ the remaining size budget, with no canonical-form hashing.
 
 The iter_* generators (and so the bijection suite) build and yield every
 object literally, by one DFS (_iter_slices) over a successor rule per
-slice kind (_next_columns, _next_strata); dump_objects (--dump) writes
-that DFS's tuples without building objects. The enum_cc and enum_plateau
-counts walk the same tree over the same rules without yielding
-(_count_slices): they place every column/stratum but the last two at
-every offset; a tail rule per slice kind (_columns_tail, _strata_tail)
-counts the last two in O(1) by closed forms of their per-offset sums. It
-stops at two: summing the earlier slices by extents alone would be the
-transfer-matrix recurrence, a formula route of its own. A tail depends on
-the slice above only through its extents, and the plateau count keeps
-_strata_tail's per (extents, strata left, area left) for the call
-(_per_shape); the column tail is cheaper to evaluate than to look up.
+slice kind (_next_columns, _next_strata). The enum_* counts walk the same
+tree without yielding (_count_slices): they place every column/stratum
+but the last two at every offset, and a tail rule counts the last two. For
+cc and plateau the tail (_columns_tail, _strata_tail) counts them in O(1)
+by closed forms of their per-offset sums. It stops at two: summing the
+earlier slices by extents alone would be the transfer-matrix recurrence,
+a formula route of its own. A tail depends on the slice above only through
+its extents, and the plateau count keeps _strata_tail's per (extents,
+strata left, area left) for the call (_per_shape); the column tail is
+cheaper to evaluate than to look up.
 
 Directedness is decided by one literal reachability search over the whole
 object (_is_directed): East/North/Ahead unit steps from the minimal
@@ -47,11 +46,17 @@ below it depend only on its extents and the size left; they are searched
 once per shape and kept for the call by the same _per_shape as the
 plateau tail. It too stops at two slices.
 
-One rule per family (_first_columns, _first_strata) generates the
-normalized first slices an object can start with, in DFS order. The
-iterators and the counting searches loop over it, and with workers > 1
-they are dealt into strided shares, each counted in one forked child
-(_sum_forked), whose counts are summed, independent of the partition.
+All of a family's rules sit in one entry of _RULES: its first-slice rule
+(_first_columns, _first_strata), which generates the normalized first
+slices an object can start with in DFS order, and a builder of the
+(successors, tail) pair its count walks (_directed for dcc and dplateau).
+The builder makes a fresh pair per call, so the memos of _reached and
+_per_shape live for that call only. The counts, their shares and
+dump_objects (--dump, which writes the DFS's tuples without building
+objects) all read that entry. A count is one share (_count_share): with
+workers > 1 the first slices are dealt into strided shares, each counted
+in one forked child (_sum_forked), whose counts are summed, independent
+of the partition.
 """
 from __future__ import annotations
 
@@ -252,27 +257,25 @@ _iter_columns = partial(_iter_slices, _first_columns, _next_columns)
 _iter_strata = partial(_iter_slices, _first_strata, _next_strata)
 
 
-def _count_slices(first_slices, successors, tail, k: int, size: int, firsts: Iterable | None = None) -> int:
-    """How many tuples _iter_slices(first_slices, successors, k, size)
-    yields that start with one of firsts (by default all of
-    first_slices(k, size)), by the same DFS counting instead of yielding:
-    successors places every slice but the last two at each of its offsets,
-    and tail(prev, slices_left, size_left) counts the ways to end it with 1
-    or 2 more. With tail None, successors places every slice."""
+def _count_slices(firsts: Iterable, successors, tail, k: int, size: int) -> int:
+    """How many of the width-k tuples of total size `size` that the DFS of
+    _iter_slices over successors generates start with one of firsts, by the
+    same DFS counting instead of yielding: successors places every slice but
+    the last two at each of its offsets, and tail(prev, slices_left,
+    size_left) counts the ways to end it with 1 or 2 more."""
 
     def rec(prev: tuple, slices_left: int, size_left: int) -> int:
         if slices_left == 0:
             return 1
-        if tail and slices_left <= 2:
+        if slices_left <= 2:
             return tail(prev, slices_left, size_left)
-        step = tail if tail and slices_left == 3 else rec  # one frame less per placement
+        step = tail if slices_left == 3 else rec  # one frame less per placement
         total = 0
         for nxt, used in successors(prev, slices_left, size_left):
             total += step(nxt, slices_left - 1, size_left - used)
         return total
 
-    return sum(rec(first, k - 1, size - sum(first[1::2]))
-               for first in (first_slices(k, size) if firsts is None else firsts))
+    return sum(rec(first, k - 1, size - sum(first[1::2])) for first in firsts)
 
 
 def _columns_tail(prev: Column, cols_left: int, area_left: int) -> int:
@@ -317,18 +320,6 @@ def _per_shape(tail):
         return count
 
     return tail_per_shape
-
-
-# (k, size[, firsts]): how many tuples _iter_columns yields.
-_count_columns = partial(_count_slices, _first_columns, _next_columns, _columns_tail)
-
-
-def _count_strata(k: int, m: int, firsts: Iterable | None = None) -> int:
-    """How many tuples _iter_strata(k, m) yields that start with one of
-    firsts (by default all), with _strata_tail kept per shape for the call
-    (_per_shape): the stratum above the last two sits at many offsets with
-    the same extents."""
-    return _count_slices(_first_strata, _next_strata, _per_shape(_strata_tail), k, m, firsts)
 
 
 def _slice_steps(s: tuple) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
@@ -415,18 +406,16 @@ def _reached(successors):
     return reached_successors
 
 
-def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterable | None = None) -> int:
-    """How many tuples _iter_slices(first_slices, successors, k, size)
-    yields that start with one of firsts (by default all) and are directed:
-    the counting DFS over the slices _reached reaches, with the last two
-    slices counted once per shape. The DFS reaches a slice only when it is
-    fully reached, successors are placed relative to its offsets, and steps
-    do not depend on where a slice sits, so the ways to end below it with 1
-    or 2 slices depend only on its extents and the size left; the tail
-    searches them once per (extents, slices left, size left) and _per_shape
-    keeps the count for the call, as it keeps _strata_tail's for
-    _count_strata. Like _columns_tail and _strata_tail it stops at two
-    slices."""
+def _directed(successors):
+    """The (successors, tail) pair of a directed family's count: the slices
+    _reached reaches, with the last two slices counted once per shape. The
+    DFS reaches a slice only when it is fully reached, successors are placed
+    relative to its offsets, and steps do not depend on where a slice sits,
+    so the ways to end below it with 1 or 2 slices depend only on its
+    extents and the size left; the tail searches them once per (extents,
+    slices left, size left) and _per_shape keeps the count for the call, as
+    it keeps _strata_tail's for plateau. Like _columns_tail and _strata_tail
+    it stops at two slices."""
     reached = _reached(successors)
 
     def ends(prev: tuple, slices_left: int, size_left: int) -> int:
@@ -434,13 +423,19 @@ def _count_reachable(first_slices, successors, k: int, size: int, firsts: Iterab
                    for nxt, used in reached(prev, slices_left, size_left))
 
     tail = _per_shape(ends)
-    return _count_slices(first_slices, reached, tail, k, size, firsts)
+    return reached, tail
 
 
-def _iter_reachable(first_slices, successors, k: int, size: int) -> Iterator[tuple]:
-    """The directed tuples of _iter_slices(first_slices, successors, k,
-    size), in its order: the same DFS over the slices _reached reaches."""
-    return _iter_slices(first_slices, _reached(successors), k, size)
+# family -> (its first-slice rule, a builder of the (successors, tail) pair
+# its count walks). A builder returns a fresh pair on each call, so the
+# memos in it last one call. The plateau tail is kept per shape: the
+# stratum above the last two sits at many offsets with the same extents.
+_RULES = {
+    "cc": (_first_columns, lambda: (_next_columns, _columns_tail)),
+    "dcc": (_first_columns, partial(_directed, _next_columns)),
+    "plateau": (_first_strata, lambda: (_next_strata, _per_shape(_strata_tail))),
+    "dplateau": (_first_strata, partial(_directed, _next_strata)),
+}
 
 
 def iter_cc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
@@ -465,10 +460,13 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
     return (p for p in iter_plateau(k, m) if p.is_directed())
 
 
-def _count_share(count, first_slices, k: int, size: int, shares: int, share: int) -> int:
-    """One share's count: count(k, size) over the first slices numbered
-    share, share + shares, share + 2 * shares, ... in DFS order."""
-    return count(k, size, islice(first_slices(k, size), share, None, shares))
+def _count_share(family: str, k: int, size: int, shares: int = 1, share: int = 0) -> int:
+    """How many of the family's tuples at (k, size) start with the first
+    slices numbered share, share + shares, share + 2 * shares, ... in DFS
+    order, counted over a fresh (successors, tail) pair of its _RULES
+    entry. The serial count is share 0 of 1."""
+    first_slices, rules = _RULES[family]
+    return _count_slices(islice(first_slices(k, size), share, None, shares), *rules(), k, size)
 
 
 def _sum_forked(task, shares: int) -> int:
@@ -528,46 +526,46 @@ def _sum_forked(task, shares: int) -> int:
     return sum(map(int, counts))
 
 
-def _enum(count, first_slices, k: int, size: int, workers: int) -> int:
-    """count(k, size), or with workers > 1 and more than one first slice
-    the sum of count over min(workers, first slices) strided shares of
-    first_slices(k, size), one forked child each. Each child generates its
-    own share: no list of the first slices is built. workers > 1 needs
-    os.fork."""
+def _enum(family: str, k: int, size: int, workers: int) -> int:
+    """The family's count at (k, size): _count_share's serial count, or with
+    workers > 1 and more than one first slice the sum of its min(workers,
+    first slices) strided shares, one forked child each. Each child
+    generates its own share: no list of the first slices is built.
+    workers > 1 needs os.fork."""
     if workers > 1 and not hasattr(os, "fork"):
         raise ValueError("workers > 1 needs os.fork, which this platform lacks")
-    shares = len(list(islice(first_slices(k, size), workers))) if workers > 1 else 1
+    shares = len(list(islice(_RULES[family][0](k, size), workers))) if workers > 1 else 1
     if shares < 2:
-        return count(k, size)
-    return _sum_forked(partial(_count_share, count, first_slices, k, size, shares), shares)
+        return _count_share(family, k, size)
+    return _sum_forked(partial(_count_share, family, k, size, shares), shares)
 
 
 def enum_cc(k: int, n: int, workers: int = 1) -> int:
     """Count of column-convex polyominoes with k columns and area n, by
     exhaustive search with the last two columns counted by the closed form
     of _columns_tail. 0 when n < k."""
-    return _enum(_count_columns, _first_columns, k, n, workers)
+    return _enum("cc", k, n, workers)
 
 
 def enum_dcc(k: int, n: int, workers: int = 1) -> int:
     """Count of directed column-convex polyominoes with k columns and
     area n: the column tuples of _iter_columns whose every cell the
     slice-staged search reaches. 0 when n < k."""
-    return _enum(partial(_count_reachable, _first_columns, _next_columns), _first_columns, k, n, workers)
+    return _enum("dcc", k, n, workers)
 
 
 def enum_plateau(k: int, m: int, workers: int = 1) -> int:
     """Count of plateau polycubes with k strata and lateral area m, by
     exhaustive search with the last two strata counted by the closed forms
     of _strata_tail. 0 when m < 2k."""
-    return _enum(_count_strata, _first_strata, k, m, workers)
+    return _enum("plateau", k, m, workers)
 
 
 def enum_dplateau(k: int, m: int, workers: int = 1) -> int:
     """Count of directed plateau polycubes with k strata and lateral area m:
     the stratum tuples of _iter_strata whose every cell the slice-staged
     search reaches. 0 when m < 2k."""
-    return _enum(partial(_count_reachable, _first_strata, _next_strata), _first_strata, k, m, workers)
+    return _enum("dplateau", k, m, workers)
 
 
 def project(p: PlateauPolycube) -> tuple[ColumnConvexPoly, ColumnConvexPoly]:
@@ -669,26 +667,19 @@ def parse_plateau(line: str) -> PlateauPolycube:
     return _parse_tuples(line, 4, PlateauPolycube)
 
 
-# family -> its tuples in the order of iter_<family>; tests hold the directed
-# ones, pruned slice by slice, to the whole-object search of iter_d*.
-_DUMPED = {
-    "cc": _iter_columns,
-    "dcc": partial(_iter_reachable, _first_columns, _next_columns),
-    "plateau": _iter_strata,
-    "dplateau": partial(_iter_reachable, _first_strata, _next_strata),
-}
-
-
 def dump_objects(family: str, k: int, size: int, stream) -> int:
     """Write every enumerated object of the family at (k, size) to stream,
     one per line in the dump format above, in the order of iter_<family>;
-    returns the object count. Lines are written from the DFS's tuples,
-    without building an object per line."""
-    if family not in _DUMPED:
+    returns the object count. Lines are written from the tuples of the DFS
+    over the successors of the family's _RULES entry (for dcc and dplateau,
+    the slices _reached reaches; tests hold them to the whole-object search
+    of iter_d*), without building an object per line."""
+    if family not in _RULES:
         raise ValueError(f"unknown family {family!r}")
+    first_slices, rules = _RULES[family]
     text = lru_cache(maxsize=None)(_slice_text)  # the slices repeat across lines
     count = 0
-    for slices in _DUMPED[family](k, size):
+    for slices in _iter_slices(first_slices, rules()[0], k, size):
         stream.write(" ".join(map(text, slices)) + "\n")
         count += 1
     return count

@@ -7,7 +7,6 @@ import sys
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
-from itertools import islice
 from math import prod
 from pathlib import Path
 
@@ -21,11 +20,9 @@ from polylat.oracle import (
     ColumnConvexPoly,
     PlateauPolycube,
     _columns_tail,
-    _count_columns,
-    _count_reachable,
     _count_share,
     _count_slices,
-    _count_strata,
+    _directed,
     _first_columns,
     _first_strata,
     _iter_columns,
@@ -191,20 +188,15 @@ def test_iter_counts_match_enum():
 def test_counting_parts_match_literal_parts():
     # every first-column / first-stratum part on its own, and their sum; at
     # k = 5 two slices are placed by successors below the first one
-    for k in range(1, 6):
-        for n in range(k, 14):
-            firsts = list(_first_columns(k, n))
-            parts = [_count_columns(k, n, [first]) for first in firsts]
-            literal = Counter(t[0] for t in _iter_columns(k, n))
-            assert parts == [literal[first] for first in firsts]
-            assert sum(parts) == _count_columns(k, n) == sum(literal.values())
-    for k in range(1, 6):
-        for m in range(2 * k, 14):
-            firsts = list(_first_strata(k, m))
-            parts = [_count_strata(k, m, [first]) for first in firsts]
-            literal = Counter(t[0] for t in _iter_strata(k, m))
-            assert parts == [literal[first] for first in firsts]
-            assert sum(parts) == _count_strata(k, m) == sum(literal.values())
+    for first_slices, successors, tail, unit in ((_first_columns, _next_columns, _columns_tail, 1),
+                                                 (_first_strata, _next_strata, _strata_tail, 2)):
+        for k in range(1, 6):
+            for size in range(unit * k, 14):
+                firsts = list(first_slices(k, size))
+                parts = [_count_slices([first], successors, tail, k, size) for first in firsts]
+                literal = Counter(t[0] for t in _iter_slices(first_slices, successors, k, size))
+                assert parts == [literal[first] for first in firsts]
+                assert sum(parts) == _count_slices(firsts, successors, tail, k, size) == sum(literal.values())
 
 
 @settings(deadline=None)
@@ -213,10 +205,12 @@ def test_counting_part_matches_literal_part_at_random_first_slice(data, k, size)
     # one first slice, then the placed and the arithmetic levels below it
     if size >= k:
         first = data.draw(st.sampled_from(list(_first_columns(k, size))))
-        assert _count_columns(k, size, [first]) == Counter(t[0] for t in _iter_columns(k, size))[first]
+        assert _count_slices([first], _next_columns, _columns_tail, k, size) == \
+            Counter(t[0] for t in _iter_columns(k, size))[first]
     if size >= 2 * k:
         first = data.draw(st.sampled_from(list(_first_strata(k, size))))
-        assert _count_strata(k, size, [first]) == Counter(t[0] for t in _iter_strata(k, size))[first]
+        assert _count_slices([first], _next_strata, _strata_tail, k, size) == \
+            Counter(t[0] for t in _iter_strata(k, size))[first]
 
 
 # The tails' sums written out, term by term over the extents of the last one
@@ -269,16 +263,11 @@ def test_counting_dfs_passes_tails_their_domain():
     for k in range(1, 6):
         for size in range(14):
             if size >= k:
-                assert _count_slices(_first_columns, _next_columns, checked(_columns_tail, 1), k, size) == \
+                assert _count_slices(_first_columns(k, size), _next_columns, checked(_columns_tail, 1), k, size) == \
                     enum_cc(k, size)
             if size >= 2 * k:
-                assert _count_slices(_first_strata, _next_strata, checked(_strata_tail, 2), k, size) == \
+                assert _count_slices(_first_strata(k, size), _next_strata, checked(_strata_tail, 2), k, size) == \
                     enum_plateau(k, size)
-    # with no tail the DFS places every slice, as the iterators do
-    for first, nxt in ((_first_columns, _next_columns), (_first_strata, _next_strata)):
-        for k in range(1, 5):
-            for size in range(13):
-                assert _count_slices(first, nxt, None, k, size) == len(list(_iter_slices(first, nxt, k, size)))
     # outside the domain the forms are not the (empty) sums
     assert _columns_tail((0, 2), 2, 0) != columns_two_sum(2, 0)
     assert _strata_tail((0, 2, 0, 2), 1, 0) != last_stratum_sum(2, 2, 0)
@@ -351,10 +340,10 @@ def assert_no_child_left():
 def test_failed_share_raises_and_leaves_no_child(monkeypatch, failing):
     # a share that raises writes no count: the call raises instead of
     # summing the other share, and every child is reaped first
-    def share_count(count, first_slices, k, size, shares, share):
+    def share_count(family, k, size, shares=1, share=0):
         if share == failing:
             raise RuntimeError("this share fails")
-        return _count_share(count, first_slices, k, size, shares, share)
+        return _count_share(family, k, size, shares, share)
 
     monkeypatch.setattr(oracle, "_count_share", share_count)
     for enum in (enum_cc, enum_dcc, enum_plateau, enum_dplateau):
@@ -424,15 +413,15 @@ def test_workers_partitioning_matches_serial():
     assert enum_plateau(3, 9, workers=2) == enum_plateau(3, 9) == 666
     assert enum_dplateau(2, 7, workers=2) == enum_dplateau(2, 7)
     assert enum_dplateau(1, 9, workers=2) == 8
-    # the staged search over strided shares of the first slices, as the forked
-    # children run it, sums to the serial count
-    for first, nxt, enum, unit in ((_first_columns, _next_columns, enum_dcc, 1),
-                                   (_first_strata, _next_strata, enum_dplateau, 2)):
+    # every family's strided shares of the first slices, counted in-process
+    # as the forked children count them, sum to the serial count
+    for family, enum, unit in (("cc", enum_cc, 1), ("dcc", enum_dcc, 1),
+                               ("plateau", enum_plateau, 2), ("dplateau", enum_dplateau, 2)):
         for k in range(1, 5):
             for size in range(unit * k, 12):
                 for shares in (2, 3):
-                    assert sum(_count_reachable(first, nxt, k, size, islice(first(k, size), share, None, shares))
-                               for share in range(shares)) == enum(k, size), (k, size, shares)
+                    assert sum(_count_share(family, k, size, shares, share)
+                               for share in range(shares)) == enum(k, size), (family, k, size, shares)
 
 
 def test_project():
@@ -731,6 +720,28 @@ def test_strata_tail_is_evaluated_once_per_shape(monkeypatch):
             assert len(evaluated) == len(set(evaluated)), (k, m)
 
 
+def test_counts_keep_nothing_between_calls(monkeypatch):
+    # the verdicts and the per-shape tails are built per call: a second,
+    # identical call searches and evaluates as much as the first
+    calls = Counter()
+
+    def recording(name, rule):
+        def record(*args):
+            calls[name] += 1
+            return rule(*args)
+        return record
+
+    monkeypatch.setattr(oracle, "_slice_reached", recording("searched", _slice_reached))
+    monkeypatch.setattr(oracle, "_strata_tail", recording("evaluated", _strata_tail))
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert enum_dplateau(3, 12) == 5005 and enum_plateau(4, 12) == r_gf(4, 12)
+        runs.append(calls.copy())
+    assert runs[0]["searched"] and runs[0]["evaluated"]
+    assert runs[1] == runs[0]
+
+
 def shifted(s, offsets):
     # the slice s moved by offsets, one per axis
     return tuple(v + offsets[i // 2] if i % 2 == 0 else v for i, v in enumerate(s))
@@ -756,8 +767,8 @@ def test_memoized_tail_matches_plain_staged_search():
                                                (_first_strata, _next_strata, 5, 14)):
         for k in range(1, k_max + 1):
             for size in range(size_max + 1):
-                plain = _count_slices(first, _reached(successors), None, k, size)
-                assert _count_reachable(first, successors, k, size) == plain, (successors, k, size)
+                plain = sum(1 for _ in _iter_slices(first, _reached(successors), k, size))
+                assert _count_slices(first(k, size), *_directed(successors), k, size) == plain, (successors, k, size)
 
 
 def test_step_maps_are_bounded_by_the_extents():
