@@ -2,8 +2,7 @@
 
 Subcommands:
 
-    count    one exact count, selectable route (--workers: oracle shares, one
-             forked child each)
+    count    one exact count, selectable route, computed in this process
     table    a full table of counts (csv, json or md)
     gf       leading coefficients of one of the generating functions
     verify   run a verification suite, JSON report on stdout
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import asymptotics, gfseries, oracle, reference_tables, verify
@@ -33,7 +31,9 @@ from .gfseries import gf_coeffs
 MAX_WIDTH = 400
 MAX_SIZE = 10_000
 MAX_TABLE_CELLS = 200_000
-# Each oracle share runs in its own forked child, and all of them at once.
+# count --workers changes no count (every count runs in one process), but it
+# keeps its range checks, exit codes and messages while callers still pass
+# it, the oracle benchmark among them.
 MAX_WORKERS = 64
 
 _GF_BUILDERS = {
@@ -65,8 +65,6 @@ def cmd_count(args, parser) -> int:
     message = _over_limit(("--workers", args.workers, MAX_WORKERS))
     if message:
         return _usage_error(parser, message)
-    if args.workers > 1 and not hasattr(os, "fork"):
-        return _usage_error(parser, "--workers > 1 needs os.fork, which this platform lacks")
     family = args.family
     if args.n is not None and args.m is not None:
         return _usage_error(parser, "give one size, -n or -m, not both")
@@ -89,10 +87,7 @@ def cmd_count(args, parser) -> int:
     if message:
         return _usage_error(parser, message)
     try:
-        if method == "oracle":
-            value = routes[method](args.k, size, workers=args.workers)
-        else:
-            value = routes[method](args.k, size)
+        value = routes[method](args.k, size)
     except ValueError as exc:
         return _usage_error(parser, str(exc))
     dumped = None
@@ -229,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("-n", type=int, help="area (2D families)")
     p_count.add_argument("-m", type=int, help="lateral area (3D families)")
     p_count.add_argument("--method", choices=sorted({route for routes in ROUTES.values() for route in routes}))
-    p_count.add_argument("--workers", type=int, default=1)
+    p_count.add_argument("--workers", type=int, default=1,
+                         help=f"with --method oracle: accepted (1 to {MAX_WORKERS}); every count runs in one process")
     p_count.add_argument("--dump", metavar="PATH", help="with --method oracle: write one object per line")
     p_count.add_argument("--json", action="store_true")
     p_count.set_defaults(fn=cmd_count)
@@ -242,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(fn=cmd_table)
 
     p_gf = sub.add_parser("gf", help="generating function coefficients")
-    p_gf.add_argument("--which", required=True, choices=("Sk", "S", "Ck", "Rk"))
+    p_gf.add_argument("--which", required=True, choices=tuple(_GF_BUILDERS))
     p_gf.add_argument("-k", type=int)
     p_gf.add_argument("--terms", type=int, required=True)
     p_gf.add_argument("--json", action="store_true")

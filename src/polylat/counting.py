@@ -10,10 +10,9 @@ Families and their size parameters:
 
 ROUTES maps each family to its routes, each a counter(k, size): at least
 two independent formula routes (closed form, convolution, generating
-function), then the brute-force geometric route of the oracle module,
-which also takes workers=. The first route is the family's authoritative
-one: the command line's default, and the source of build_table's seed
-widths.
+function), then the brute-force geometric route of the oracle module.
+The first route is the family's authoritative one: the command line's
+default, and the source of build_table's seed widths.
 Out-of-support inputs return 0 rather than raising. Only structurally
 meaningless arguments (width < 1, unknown family) raise.
 

@@ -51,20 +51,16 @@ All of a family's rules sit in one entry of _RULES: its first-slice rule
 slices an object can start with in DFS order, and a builder of the
 (successors, tail) pair its count walks (_directed for dcc and dplateau).
 The builder makes a fresh pair per call, so the memos of _reached and
-_per_shape live for that call only. The counts, their shares and
-dump_objects (--dump, which writes the DFS's tuples without building
-objects) all read that entry. A count is one share (_count_share): with
-workers > 1 the first slices are dealt into strided shares, each counted
-in one forked child (_sum_forked), whose counts are summed, independent
-of the partition.
+_per_shape live for that call only. The counts (_count) and dump_objects
+(--dump, which writes the DFS's tuples without building objects) both
+read that entry. Every count runs in the calling process.
 """
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice, product
+from itertools import product
 from math import prod
 from typing import Iterable, Iterator
 
@@ -460,112 +456,39 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
     return (p for p in iter_plateau(k, m) if p.is_directed())
 
 
-def _count_share(family: str, k: int, size: int, shares: int = 1, share: int = 0) -> int:
-    """How many of the family's tuples at (k, size) start with the first
-    slices numbered share, share + shares, share + 2 * shares, ... in DFS
-    order, counted over a fresh (successors, tail) pair of its _RULES
-    entry. The serial count is share 0 of 1."""
+def _count(family: str, k: int, size: int) -> int:
+    """The family's count at (k, size): _count_slices over its first slices
+    and a fresh (successors, tail) pair of its _RULES entry."""
     first_slices, rules = _RULES[family]
-    return _count_slices(islice(first_slices(k, size), share, None, shares), *rules(), k, size)
+    return _count_slices(first_slices(k, size), *rules(), k, size)
 
 
-def _sum_forked(task, shares: int) -> int:
-    """The sum of task(share) over range(shares), each share run in a child
-    forked for it. A child writes its count in decimal to its own pipe and
-    leaves by os._exit, so it flushes no stdio buffer inherited from the
-    parent and runs no atexit handler; a share that raises writes nothing
-    (its traceback goes to file descriptor 2) and exits 1. Every child is
-    reaped before this returns or raises, and on an error the children
-    still running are killed first. A child that exits non-zero or writes
-    nothing makes it raise: a failed share never gives a wrong sum."""
-    pipes: dict[int, int] = {}  # child pid -> read end of its pipe
-    counts: list[bytes] = []
-    statuses: list[int] = []
-    try:
-        for share in range(shares):
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_end)
-                os.close(write_end)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_end)
-                    with open(write_end, "w") as pipe:
-                        pipe.write(str(task(share)))
-                    status = 0
-                except BaseException:
-                    import traceback
-
-                    os.write(2, traceback.format_exc().encode())
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            pipes[pid] = read_end
-        for share, read_end in enumerate(pipes.values()):
-            with open(read_end, "rb", closefd=False) as pipe:
-                counts.append(pipe.read())
-            if not counts[-1]:
-                raise RuntimeError(f"oracle share {share} of {shares} wrote no count")
-    except BaseException:
-        from signal import SIGKILL
-
-        for pid in pipes:
-            os.kill(pid, SIGKILL)
-        raise
-    finally:
-        for pid, read_end in pipes.items():
-            os.close(read_end)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for share, status in enumerate(statuses):
-        if status:
-            raise RuntimeError(f"oracle share {share} of {shares} exited with status {status}")
-    return sum(map(int, counts))
-
-
-def _enum(family: str, k: int, size: int, workers: int) -> int:
-    """The family's count at (k, size): _count_share's serial count, or with
-    workers > 1 and more than one first slice the sum of its min(workers,
-    first slices) strided shares, one forked child each. Each child
-    generates its own share: no list of the first slices is built.
-    workers > 1 needs os.fork."""
-    if workers > 1 and not hasattr(os, "fork"):
-        raise ValueError("workers > 1 needs os.fork, which this platform lacks")
-    shares = len(list(islice(_RULES[family][0](k, size), workers))) if workers > 1 else 1
-    if shares < 2:
-        return _count_share(family, k, size)
-    return _sum_forked(partial(_count_share, family, k, size, shares), shares)
-
-
-def enum_cc(k: int, n: int, workers: int = 1) -> int:
+def enum_cc(k: int, n: int) -> int:
     """Count of column-convex polyominoes with k columns and area n, by
     exhaustive search with the last two columns counted by the closed form
     of _columns_tail. 0 when n < k."""
-    return _enum("cc", k, n, workers)
+    return _count("cc", k, n)
 
 
-def enum_dcc(k: int, n: int, workers: int = 1) -> int:
+def enum_dcc(k: int, n: int) -> int:
     """Count of directed column-convex polyominoes with k columns and
     area n: the column tuples of _iter_columns whose every cell the
     slice-staged search reaches. 0 when n < k."""
-    return _enum("dcc", k, n, workers)
+    return _count("dcc", k, n)
 
 
-def enum_plateau(k: int, m: int, workers: int = 1) -> int:
+def enum_plateau(k: int, m: int) -> int:
     """Count of plateau polycubes with k strata and lateral area m, by
     exhaustive search with the last two strata counted by the closed forms
     of _strata_tail. 0 when m < 2k."""
-    return _enum("plateau", k, m, workers)
+    return _count("plateau", k, m)
 
 
-def enum_dplateau(k: int, m: int, workers: int = 1) -> int:
+def enum_dplateau(k: int, m: int) -> int:
     """Count of directed plateau polycubes with k strata and lateral area m:
     the stratum tuples of _iter_strata whose every cell the slice-staged
     search reaches. 0 when m < 2k."""
-    return _enum("dplateau", k, m, workers)
+    return _count("dplateau", k, m)
 
 
 def project(p: PlateauPolycube) -> tuple[ColumnConvexPoly, ColumnConvexPoly]:

@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from polylat import oracle
 from polylat.cli import MAX_SIZE, MAX_TABLE_CELLS, MAX_WIDTH, MAX_WORKERS, build_parser, main
 from polylat.counting import ROUTES, SIZE_UNIT
 from polylat.reference_tables import CC_TABLE
@@ -105,7 +104,7 @@ def test_count_dump(tmp_path, capsys):
 
 
 def test_count_dump_disagreeing_with_count_fails(tmp_path, capsys, monkeypatch):
-    monkeypatch.setitem(ROUTES["plateau"], "oracle", lambda k, m, workers=1: 9)
+    monkeypatch.setitem(ROUTES["plateau"], "oracle", lambda k, m: 9)
     path = tmp_path / "objects.txt"
     code, out, err = run_cli(
         capsys, "count", "--family", "plateau", "-k", "2", "-m", "5", "--method", "oracle", "--dump", str(path)
@@ -297,11 +296,7 @@ def test_workers_must_be_positive(capsys, workers):
 
 
 @pytest.mark.parametrize("workers", ["65", "100000"])
-def test_workers_over_limit(capsys, monkeypatch, workers):
-    def no_fork(*args, **kwargs):
-        raise AssertionError("a child was forked")
-
-    monkeypatch.setattr(oracle, "_sum_forked", no_fork)
+def test_workers_over_limit(capsys, workers):
     code, out, err = run_cli(
         capsys, "count", "--family", "plateau", "-k", "3", "-m", "9", "--method", "oracle", "--workers", workers
     )
@@ -310,17 +305,15 @@ def test_workers_over_limit(capsys, monkeypatch, workers):
 
 
 def test_workers_need_fork(capsys, monkeypatch):
-    # where os.fork is missing, --workers > 1 is a usage error, not a traceback
+    # no count forks: without os.fork, --workers 2 prints the serial bytes
+    # at the oracle cells of the benchmark
     monkeypatch.delattr(os, "fork")
-    code, out, err = run_cli(
-        capsys, "count", "--family", "plateau", "-k", "3", "-m", "9", "--method", "oracle", "--workers", "2"
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("error: --workers > 1 needs os.fork, which this platform lacks\n")
-    code, out, _ = run_cli(
-        capsys, "count", "--family", "plateau", "-k", "3", "-m", "9", "--method", "oracle", "--workers", "1"
-    )
-    assert (code, out) == (0, "666\n")
+    for family, size_flag, k, size in (("cc", "-n", "5", "16"), ("dcc", "-n", "4", "15"),
+                                       ("dplateau", "-m", "3", "12"), ("plateau", "-m", "4", "15")):
+        argv = ("count", "--family", family, "-k", k, size_flag, size, "--method", "oracle", "--workers")
+        serial = run_cli(capsys, *argv, "1")
+        assert serial[0] == 0 and serial[1], family
+        assert run_cli(capsys, *argv, "2") == serial, family
 
 
 @pytest.mark.parametrize("method", [["--method", "gf"], []])

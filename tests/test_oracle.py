@@ -20,7 +20,6 @@ from polylat.oracle import (
     ColumnConvexPoly,
     PlateauPolycube,
     _columns_tail,
-    _count_share,
     _count_slices,
     _directed,
     _first_columns,
@@ -299,88 +298,8 @@ def test_iter_objects_are_distinct_and_sized():
     assert len(seen) == enum_plateau(3, 8)
 
 
-def test_single_first_slice_starts_no_pool(monkeypatch):
-    # k = 1 (one first column) and m = 2k (one first stratum) run serially
-    def no_fork(*args, **kwargs):
-        raise AssertionError("a child was forked")
-
-    monkeypatch.setattr(oracle, "_sum_forked", no_fork)
-    assert list(_first_columns(1, 7)) == [(0, 7)] and list(_first_strata(2, 4)) == [(0, 1, 0, 1)]
-    assert enum_cc(1, 7, workers=2) == enum_dcc(1, 7, workers=2) == 1
-    assert enum_plateau(2, 4, workers=2) == enum_dplateau(2, 4, workers=2) == 1
-
-
-def test_pool_shares_are_generated_by_the_tasks(monkeypatch):
-    # 1,995,003 first strata at (2, 2000): two workers get two strided
-    # shares, and the parent does not list the first strata (the recording
-    # helper forks no child; test_workers_partitioning_matches_serial runs them)
-    submitted = []
-
-    def recording_sum(task, shares):
-        submitted.extend(range(shares))
-        return 0
-
-    monkeypatch.setattr(oracle, "_sum_forked", recording_sum)
-    tracemalloc.start()
-    try:
-        assert enum_plateau(2, 2000, workers=2) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert submitted == [0, 1]
-    assert peak < 1_000_000
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("failing", [0, 1])
-def test_failed_share_raises_and_leaves_no_child(monkeypatch, failing):
-    # a share that raises writes no count: the call raises instead of
-    # summing the other share, and every child is reaped first
-    def share_count(family, k, size, shares=1, share=0):
-        if share == failing:
-            raise RuntimeError("this share fails")
-        return _count_share(family, k, size, shares, share)
-
-    monkeypatch.setattr(oracle, "_count_share", share_count)
-    for enum in (enum_cc, enum_dcc, enum_plateau, enum_dplateau):
-        with pytest.raises(RuntimeError, match=f"share {failing} of 2"):
-            enum(3, 9, workers=2)
-        assert_no_child_left()
-
-
-def test_forked_shares_leave_no_child():
-    assert enum_plateau(3, 9, workers=2) == 666
-    assert enum_dplateau(3, 12, workers=2) == enum_dplateau(3, 12) == 5005
-    assert_no_child_left()
-
-
-def test_forked_share_status_is_checked(monkeypatch):
-    # the counts are summed only when every child wrote one and exited 0
-    assert oracle._sum_forked(lambda share: share + 1, 3) == 6
-    with pytest.raises(RuntimeError, match="share 1 of 2 wrote no count"):
-        oracle._sum_forked(lambda share: os._exit(0) if share else 1, 2)
-    assert_no_child_left()
-    real_exit = os._exit
-    monkeypatch.setattr(os, "_exit", lambda status: real_exit(status + 3))
-    with pytest.raises(RuntimeError, match="share 0 of 2 exited with status 3"):
-        oracle._sum_forked(lambda share: share + 1, 2)
-    assert_no_child_left()
-
-
-def test_workers_need_fork(monkeypatch):
-    monkeypatch.delattr(os, "fork")
-    for enum in (enum_cc, enum_dcc, enum_plateau, enum_dplateau):
-        with pytest.raises(ValueError, match="needs os.fork"):
-            enum(3, 9, workers=2)
-        assert enum(3, 9, workers=1) == enum(3, 9)
-
-
 def test_import_loads_no_process_pool():
-    # the forked shares need only os: importing the package and its CLI
+    # every count runs in one process: importing the package and its CLI
     # loads neither concurrent.futures nor multiprocessing
     src = str(Path(oracle.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -404,24 +323,6 @@ def test_first_slices_are_generated_on_demand():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-
-
-def test_workers_partitioning_matches_serial():
-    assert enum_cc(3, 9, workers=2) == enum_cc(3, 9)
-    assert enum_dcc(3, 9, workers=2) == enum_dcc(3, 9)
-    assert enum_plateau(3, 8, workers=2) == enum_plateau(3, 8)
-    assert enum_plateau(3, 9, workers=2) == enum_plateau(3, 9) == 666
-    assert enum_dplateau(2, 7, workers=2) == enum_dplateau(2, 7)
-    assert enum_dplateau(1, 9, workers=2) == 8
-    # every family's strided shares of the first slices, counted in-process
-    # as the forked children count them, sum to the serial count
-    for family, enum, unit in (("cc", enum_cc, 1), ("dcc", enum_dcc, 1),
-                               ("plateau", enum_plateau, 2), ("dplateau", enum_dplateau, 2)):
-        for k in range(1, 5):
-            for size in range(unit * k, 12):
-                for shares in (2, 3):
-                    assert sum(_count_share(family, k, size, shares, share)
-                               for share in range(shares)) == enum(k, size), (family, k, size, shares)
 
 
 def test_project():
@@ -643,11 +544,11 @@ def test_no_step_map_is_built_twice(monkeypatch):
     for family, enum, unit, width_one in (("dcc", enum_dcc, 1, 1), ("dplateau", enum_dplateau, 2, 39)):
         # none at width 1
         built.clear()
-        assert enum(1, 40, workers=1) == dump_objects(family, 1, 40, io.StringIO()) == width_one
+        assert enum(1, 40) == dump_objects(family, 1, 40, io.StringIO()) == width_one
         assert built == [], family
         for k in range(2, 5):
             for size in range(unit * k, 13):
-                for run in (lambda: enum(k, size, workers=1),
+                for run in (lambda: enum(k, size),
                             lambda: dump_objects(family, k, size, io.StringIO())):
                     built.clear()
                     run()
@@ -670,7 +571,7 @@ def test_each_seed_box_is_searched_once(monkeypatch):
     for family, enum, unit in (("dcc", enum_dcc, 1), ("dplateau", enum_dplateau, 2)):
         for k in range(2, 5):
             for size in range(unit * k, 13):
-                for run in (lambda: enum(k, size, workers=1),
+                for run in (lambda: enum(k, size),
                             lambda: dump_objects(family, k, size, io.StringIO())):
                     searched.clear()
                     run()
@@ -715,7 +616,7 @@ def test_strata_tail_is_evaluated_once_per_shape(monkeypatch):
     for k in range(2, 6):
         for m in range(2 * k, 17):
             evaluated.clear()
-            assert enum_plateau(k, m, workers=1) == r_gf(k, m), (k, m)
+            assert enum_plateau(k, m) == r_gf(k, m), (k, m)
             assert evaluated, (k, m)
             assert len(evaluated) == len(set(evaluated)), (k, m)
 
