@@ -157,6 +157,8 @@ def cmd_gf(args, parser) -> int:
         return _usage_error(parser, f"-k is required for --which {args.which}")
     if args.which == "S" and args.k is not None:
         return _usage_error(parser, "-k does not apply to --which S")
+    if args.terms < 0:
+        return _usage_error(parser, f"--terms must be >= 0, got {args.terms}")
     message = _over_limit(("-k", args.k, MAX_WIDTH), ("--terms", args.terms, MAX_SIZE))
     if message:
         return _usage_error(parser, message)

@@ -11,8 +11,7 @@ Families and their size parameters:
 ROUTES maps each family to its routes, each a counter(k, size): at least
 two independent formula routes (closed form, convolution, generating
 function), then the brute-force geometric route of the oracle module.
-The first route is the family's authoritative one: the command line's
-default, and the source of build_table's seed widths.
+The first route is the family's authoritative one, the command line's default.
 Out-of-support inputs return 0 rather than raising. Only structurally
 meaningless arguments (width < 1, unknown family) raise.
 
@@ -58,6 +57,12 @@ Their ratios x^2, xy, y^2 have elementary symmetric functions
 and G_(w+1) = e1 G_w - e2 G_(w-1) + e3 G_(w-2). (The identity holds for
 any sequence with the order-2 recurrence, repeated roots included: it is
 a polynomial identity in F_(w-2), F_(w-1), a and b.)
+
+Taking every series below width 1 as zero, each width-w series is
+num_w / P^E + sum_j mult_j / P^(e_j) * (width w-1-j series): the recurrence
+above, E its largest power of P, and num_w = t P, t P^3, t^2 P^2 at width 1
+(dcc, cc, dplateau), t^2 P^10, -t^5 P^6 at widths 1, 2 (plateau), 0 after.
+These num_w are the numerators of the bivariate series sum_w q^w (width w).
 """
 from __future__ import annotations
 
@@ -68,7 +73,7 @@ from operator import add, mul
 from typing import Callable
 
 from .combinatorics import binomial
-from .gfseries import Poly, RationalGF, gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width
+from .gfseries import Poly, RationalGF, gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width, one_minus_t_pow, poly_mul
 from .oracle import enum_cc, enum_dcc, enum_dplateau, enum_plateau
 
 
@@ -266,16 +271,16 @@ def _dplateau_gf(k: int, m: int) -> int:
 # a column has area >= 1, a stratum lateral area (height + depth) >= 2.
 SIZE_UNIT = {"dcc": 1, "cc": 1, "dplateau": 2, "plateau": 2}
 
-# Each family's width recurrence (derived in the module docstring): the
-# width-(w+1) series is sum_j num_j / (1-t)^e_j * (width w-j series), for the
-# (num_j, e_j) listed here, j = 0, 1, ...; e_j never decreases. As many
-# widths as there are terms are seeds, taken from the authoritative route.
-WIDTH_RECURRENCE: dict[str, tuple[tuple[Poly, int], ...]] = {
-    "dcc": (((0, 1), 2),),  # t/P^2
-    "cc": (((0, 1, 1), 2), ((0, 0, 0, 1), 4)),  # a = t(1+t)/P^2, b = t^3/P^4
-    "dplateau": (((0, 0, 1), 4),),  # t^2/P^4
-    # e1 = t^2(1+3t+t^2)/P^4, -e2 = t^5(1+3t+t^2)/P^8, e3 = -t^9/P^12
-    "plateau": (((0, 0, 1, 3, 1), 4), ((0, 0, 0, 0, 0, 1, 3, 1), 8), ((0,) * 9 + (-1,), 12)),
+# Each family's width recurrence, the (mult_j, e_j) for j = 0, 1, ... with
+# e_j never decreasing, and its numerators num_w (see the module docstring).
+WIDTH_RECURRENCE: dict[str, tuple[tuple[tuple[Poly, int], ...], tuple[Poly, ...]]] = {
+    "dcc": ((((0, 1), 2),), (poly_mul((0, 1), one_minus_t_pow(1)),)),  # t/P^2
+    "cc": ((((0, 1, 1), 2), ((0, 0, 0, 1), 4)), (poly_mul((0, 1), one_minus_t_pow(3)),)),  # a = t(1+t)/P^2, b = t^3/P^4
+    "dplateau": ((((0, 0, 1), 4),), (poly_mul((0, 0, 1), one_minus_t_pow(2)),)),  # t^2/P^4
+    "plateau": (  # e1 = t^2(1+3t+t^2)/P^4, -e2 = t^5(1+3t+t^2)/P^8, e3 = -t^9/P^12
+        (((0, 0, 1, 3, 1), 4), ((0, 0, 0, 0, 0, 1, 3, 1), 8), ((0,) * 9 + (-1,), 12)),
+        (poly_mul((0, 0, 1), one_minus_t_pow(10)), poly_mul((0,) * 5 + (-1,), one_minus_t_pow(6))),
+    ),
 }
 
 ROUTES = {
@@ -287,18 +292,19 @@ ROUTES = {
 FAMILIES = tuple(ROUTES)
 
 
-def _next_width(recurrence: tuple[tuple[Poly, int], ...], columns: list[list[int]]) -> list[int]:
-    """The next width's coefficient column from the last len(recurrence)
-    columns. The recurrence's sum is taken in Horner form, innermost term
-    first: add num_j times its column, then divide by (1-t)^(e_j - e_(j-1))
-    as that many rounds of prefix sums. So a width costs max e_j rounds in
-    all, and every truncated prefix stays exact."""
-    column = [0] * len(columns[-1])
+def _next_width(
+    recurrence: tuple[tuple[Poly, int], ...], numerator: Poly, columns: list[list[int]], size: int
+) -> list[int]:
+    """The next width's first size terms, from its numerator and the last
+    len(recurrence) columns (none below width 1) in Horner form: add mult_j
+    times its column, innermost term first, then divide by (1-t)^(e_j -
+    e_(j-1)) as that many prefix-sum rounds, E in all; truncation is exact."""
+    column = list(numerator[:size]) + [0] * (size - len(numerator))
     for j in reversed(range(len(recurrence))):
-        num, e = recurrence[j]
-        source = columns[-1 - j]
-        for i, c in enumerate(num):
-            if c:
+        mult, e = recurrence[j]
+        source = columns[-1 - j] if j < len(columns) else ()
+        for i, c in enumerate(mult):
+            if c and source:
                 column[i:] = map(add, column[i:], source if c == 1 else [c * x for x in source])
         for _ in range(e - (recurrence[j - 1][1] if j else 0)):
             column = list(accumulate(column))
@@ -306,23 +312,15 @@ def _next_width(recurrence: tuple[tuple[Poly, int], ...], columns: list[list[int
 
 
 def build_table(family: str, k_max: int, size_max: int) -> FamilyTable:
-    """Populate a FamilyTable, one coefficient column per width. The first
-    len(WIDTH_RECURRENCE[family]) widths are seeds, cell by cell from the
-    family's authoritative route (the first in ROUTES), each from its
-    largest size down so that a cached series expands once. Every later
-    width comes from the columns before it by the width recurrence: a few
-    short products and prefix-sum rounds, O(size_max) integer operations
-    per width. All arithmetic is exact."""
+    """Populate a FamilyTable, one column per width, each from its numerator
+    and the columns before it by the width recurrence: O(size_max) exact
+    integer operations per width, with no counting route and no series read."""
     if family not in ROUTES:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if k_max < 1 or size_max < 1:
         raise ValueError(f"bounds must be >= 1, got k_max={k_max}, size_max={size_max}")
-    counter = next(iter(ROUTES[family].values()))
-    recurrence = WIDTH_RECURRENCE[family]
+    recurrence, nums = WIDTH_RECURRENCE[family]
     columns: list[list[int]] = []
     for k in range(1, k_max + 1):
-        if k <= len(recurrence):
-            columns.append([counter(k, n) for n in range(size_max, -1, -1)][::-1])
-        else:
-            columns.append(_next_width(recurrence, columns))
+        columns.append(_next_width(recurrence, nums[k - 1] if k <= len(nums) else (), columns, size_max + 1))
     return FamilyTable(family, k_max, size_max, columns)

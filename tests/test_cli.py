@@ -439,6 +439,7 @@ def test_dump_golden_digest(tmp_path, capsys, family, k, size):
         (["count", "--family", "dplateau", "-k", "2", "-m", str(MAX_SIZE + 1), "--method", "oracle"], f"-m {MAX_SIZE + 1} is over the limit"),
         (["count", "--family", "dcc", "-k", "2", "-n", "-5", "--method", "oracle"], "-n must be >= 0, got -5"),
         (["count", "--family", "plateau", "-k", "2", "-m", "-1"], "-m must be >= 0, got -1"),
+        (["gf", "--which", "Ck", "-k", "2", "--terms", "-1"], "--terms must be >= 0, got -1"),
     ],
 )
 def test_arguments_over_their_limit_exit_2(capsys, argv, named):

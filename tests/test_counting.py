@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylat import counting
+from polylat import combinatorics, counting, gfseries, oracle
 from polylat.asymptotics import RatPoly
 from polylat.combinatorics import binomial, delannoy_closed
 from polylat.counting import (
@@ -23,7 +23,7 @@ from polylat.counting import (
     s_closed,
     s_conv,
 )
-from polylat.gfseries import gf_C, gf_dcc_width, gf_R, gf_S_k, one_minus_t_pow, poly_add, poly_mul
+from polylat.gfseries import ZERO_GF, gf_C, gf_dcc_width, gf_R, gf_S_k, one_minus_t_pow, poly_add, poly_mul
 from polylat.reference_tables import (
     CC_TABLE,
     COROLLARY_OFFSETS,
@@ -363,33 +363,48 @@ def test_cells_outside_the_support_expand_nothing(monkeypatch):
     assert _kept_series() == set()
 
 
-def test_build_table_cc_past_cache_growths(monkeypatch):
-    # 140 is past the cache's growth steps 32 -> 66 -> 134; the table asks
-    # count_cc for its two seed widths only, each from its largest size down,
-    # so each expands once; the later widths come from the width recurrence
-    # and touch neither the cache nor the series expansion
+def test_build_table_cc_matches_binomial_sums_and_count_cc_grown_step_by_step(monkeypatch):
+    # 140 is past the cache's growth steps 32 -> 66 -> 134
     calls = _counting_expansions(monkeypatch)
     table = build_table("cc", 24, 140)
-    assert calls == [140] * len(WIDTH_RECURRENCE["cc"])
-    assert _kept_series() == {(gf_C, 0), (gf_C, 1)}
     for k in range(1, 25):
         assert [table.value(k, n) for n in range(1, 141)] == [_cc_binomial_sum(k, n) for n in range(1, 141)]
     # cells asked for in increasing size order grow the cache step by step
     # and reach the same values
-    calls.clear()
-    _clear_series_cache()
     for k in (1, 12, 24):
         assert [count_cc(k, n) for n in range(1, 141)] == [table.value(k, n) for n in range(1, 141)]
     assert calls == [32, 66, 134, 270] * 3
 
 
-def test_build_table_plateau_past_cache_growths(monkeypatch):
-    calls = _counting_expansions(monkeypatch)
+def test_build_table_plateau_matches_r_conv(monkeypatch):
+    _empty_series_cache(monkeypatch)
     table = build_table("plateau", 12, 140)
-    assert calls == [140] * len(WIDTH_RECURRENCE["plateau"])
-    assert _kept_series() == {(gf_R, k) for k in (1, 2, 3)}
     for k in range(1, 13):
         assert [table.value(k, m) for m in range(2, 141)] == [r_conv(k, m) for m in range(2, 141)]
+
+
+def test_build_table_calls_no_route_and_no_series(monkeypatch):
+    # every width comes from the recurrence and its numerator: with each
+    # route, the series constructors and the Delannoy rows refused, the
+    # tables still come out whole, and nothing enters a cache
+    expected = {family: build_table(family, 40, 300).columns for family in ROUTES}
+    _empty_series_cache(monkeypatch)
+    memo = len(combinatorics._DELANNOY_MEMO)
+
+    def refuse(*args):
+        raise AssertionError(f"build_table called a route or a series with {args}")
+
+    counters = [route for routes in ROUTES.values() for route in routes.values()]
+    for routes in ROUTES.values():
+        for name in routes:
+            monkeypatch.setitem(routes, name, refuse)
+    for module in (counting, gfseries, combinatorics, oracle):
+        for name, value in list(vars(module).items()):
+            if name in ("gf_C", "gf_R", "antidiagonal") or any(value is route for route in counters):
+                monkeypatch.setattr(module, name, refuse)
+    assert {family: build_table(family, 40, 300).columns for family in ROUTES} == expected
+    assert _kept_series() == set()
+    assert len(combinatorics._DELANNOY_MEMO) == memo
 
 
 # each family's width-w series, for the width recurrence checks
@@ -404,15 +419,21 @@ def _over_power_of_one_minus_t(gf):
 
 @pytest.mark.parametrize("family", sorted(WIDTH_RECURRENCE))
 def test_width_recurrence_is_a_polynomial_identity(family):
-    # series(w+1) = sum_j num_j/(1-t)^e_j * series(w-j), checked on whole
-    # numerators over one common power of 1-t, not on a prefix of terms
-    recurrence = WIDTH_RECURRENCE[family]
+    # series(w) = num_w/(1-t)^E + sum_j mult_j/(1-t)^e_j * series(w-1-j), with
+    # every series below width 1 zero, checked on whole numerators over one
+    # common power of 1-t, not on a prefix of terms
+    recurrence, numerators = WIDTH_RECURRENCE[family]
     assert [e for _, e in recurrence] == sorted(e for _, e in recurrence)
-    for w in range(len(recurrence), 31):
-        num, e = _over_power_of_one_minus_t(WIDTH_SERIES[family](w + 1))
-        terms = []
+    largest = recurrence[-1][1]
+
+    def series(w):
+        return _over_power_of_one_minus_t(WIDTH_SERIES[family](w) if w >= 1 else ZERO_GF)
+
+    for w in range(1, 31):
+        num, e = series(w)
+        terms = [(numerators[w - 1] if w <= len(numerators) else (), largest)]
         for j, (mult, mult_e) in enumerate(recurrence):
-            term_num, term_e = _over_power_of_one_minus_t(WIDTH_SERIES[family](w - j))
+            term_num, term_e = series(w - 1 - j)
             terms.append((poly_mul(mult, term_num), mult_e + term_e))
         common = max([e] + [te for _, te in terms])
         total = ()
