@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import asymptotics, gfseries, oracle, reference_tables, verify
 from .counting import FAMILIES, ROUTES, build_table
@@ -36,11 +37,12 @@ MAX_TABLE_CELLS = 200_000
 # it, the oracle benchmark among them.
 MAX_WORKERS = 64
 
+# --which -> (its series builder, the least -k it takes; S takes none)
 _GF_BUILDERS = {
-    "Sk": gfseries.gf_S_k,
-    "S": lambda k: gfseries.gf_S(),
-    "Ck": gfseries.gf_C,
-    "Rk": gfseries.gf_R,
+    "Sk": (gfseries.gf_S_k, 0),
+    "S": (lambda k: gfseries.gf_S(), None),
+    "Ck": (gfseries.gf_C, 0),
+    "Rk": (gfseries.gf_R, 1),
 }
 
 
@@ -157,13 +159,16 @@ def cmd_gf(args, parser) -> int:
         return _usage_error(parser, f"-k is required for --which {args.which}")
     if args.which == "S" and args.k is not None:
         return _usage_error(parser, "-k does not apply to --which S")
+    build, k_min = _GF_BUILDERS[args.which]
+    if args.k is not None and args.k < k_min:
+        return _usage_error(parser, f"-k must be >= {k_min}, got {args.k}")
     if args.terms < 0:
         return _usage_error(parser, f"--terms must be >= 0, got {args.terms}")
     message = _over_limit(("-k", args.k, MAX_WIDTH), ("--terms", args.terms, MAX_SIZE))
     if message:
         return _usage_error(parser, message)
     try:
-        gf = _GF_BUILDERS[args.which](args.k)
+        gf = build(args.k)
         coeffs = gf_coeffs(gf, args.terms)
     except ValueError as exc:
         return _usage_error(parser, str(exc))
@@ -259,8 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parsing leaves no state in it, and building
+    # it costs more than most commands
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     return args.fn(args, parser)
 

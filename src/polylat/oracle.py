@@ -29,7 +29,7 @@ set built. A column-convex polyomino is searched as the depth-1 plateau
 polycube with strata (b, h, 0, 1): its cells at z = 0 are the
 polyomino's, and no Ahead step lands in it, so the search takes the 2D
 North/East steps. is_directed(), and so iter_dcc and iter_dplateau, run
-that search. One reach rule (_reached) runs it one slice at a time and
+that search. One reach rule (_reach) runs it one slice at a time and
 feeds both DFS walks, the directed counts and the directed dumps: no step
 decreases x, so each later slice is searched from the East step of the
 previous slice's cells, and a prefix is dropped once one of its slices is
@@ -39,29 +39,34 @@ so one step map is built per slice extents, at the origin, once per call,
 and a width-1 cell builds none. A verdict depends only on those extents
 and the seed box, so beside each map one verdict byte per seed box
 records whether the box was searched and with what result: each
-(extents, seed box) is searched once per call. For the same reason the
-directed counts also end with a tail rule for the last two slices: later
-slices are placed relative to a fully reached slice, so the ways to end
-below it depend only on its extents and the size left; they are searched
-once per shape and kept for the call by the same _per_shape as the
-plateau tail. It too stops at two slices.
+(extents, seed box) is searched once per call. A successor's seed box on
+each axis depends only on the two slices' extents and its offset, so the
+rule answers per pair of extents (_directed reads each family's extents
+rule, _column_extents or _strata_extents): the reached offsets, kept for
+the call, and their count. The DFS places every slice above the last two
+at each reached offset. Below a fully reached slice the ways to end
+depend only on its extents and the size left, so the directed counts
+also end with a tail rule for the last two slices, sums of per-pair
+reach counts kept per shape for the call. It too stops at two slices.
 
 All of a family's rules sit in one entry of _RULES: its first-slice rule
 (_first_columns, _first_strata), which generates the normalized first
 slices an object can start with in DFS order, and a builder of the
 (successors, tail) pair its count walks (_directed for dcc and dplateau).
-The builder makes a fresh pair per call, so the memos of _reached and
-_per_shape live for that call only. The counts (_count) and dump_objects
-(--dump, which writes the DFS's tuples without building objects) both
-read that entry. Every count runs in the calling process.
+The builder makes a fresh pair per call, so the memos of _reach,
+_directed and _per_shape live for that call only. The counts (_count) and
+dump_objects (--dump, which writes the DFS's tuples without building
+objects) both read that entry. Every count runs in the calling process.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import product
+from functools import cache, partial
+from itertools import compress, product
 from math import prod
+from operator import add, not_
 from typing import Iterable, Iterator
 
 Column = tuple[int, int]
@@ -225,6 +230,20 @@ def _next_strata(prev: Stratum, cols_left: int, area_left: int) -> Iterator[tupl
                     yield (y, h, z, d), s
 
 
+def _column_extents(cols_left: int, area_left: int) -> Iterator[tuple[tuple[int], int]]:
+    """The extents (h,) of _next_columns's columns, in its order, each with
+    its area h."""
+    h_min = area_left if cols_left == 1 else 1
+    return (((h,), h) for h in range(h_min, area_left - cols_left + 2))
+
+
+def _strata_extents(strata_left: int, area_left: int) -> Iterator[tuple[tuple[int, int], int]]:
+    """The extents (h, d) of _next_strata's strata, in its order, each with
+    its lateral area h + d."""
+    s_min = area_left if strata_left == 1 else 2
+    return (((h, s - h), s) for s in range(s_min, area_left - 2 * strata_left + 3) for h in range(1, s))
+
+
 def _iter_slices(first_slices, successors, k: int, size: int) -> Iterator[tuple]:
     """All slice tuples of width k and total size `size`, one first slice
     of first_slices(k, size) after the other, by DFS over
@@ -303,9 +322,9 @@ def _strata_tail(prev: Stratum, strata_left: int, area_left: int) -> int:
 
 def _per_shape(tail):
     """tail(prev, slices_left, size_left), kept for the call per (prev
-    extents, slices left, size left): the tails of both kinds of counting
-    DFS depend on prev only through its extents, since every successor is
-    placed relative to prev's offsets."""
+    extents, slices left, size left): the plateau tail depends on prev only
+    through its extents, since every successor is placed relative to prev's
+    offsets."""
     ends: dict[tuple, int] = {}  # (prev extents, slices left, size left) -> count
 
     def tail_per_shape(prev: tuple, slices_left: int, size_left: int) -> int:
@@ -347,79 +366,93 @@ def _slice_reached(steps: dict, seeds) -> bool:
     return len(seen) == len(steps)
 
 
-def _overlap(lo: int, ext: int, prev_lo: int, prev_ext: int) -> range:
-    """The cells of the axis interval [lo, lo + ext) that lie in the
-    previous slice's [prev_lo, prev_lo + prev_ext), counted from lo."""
-    hi = prev_lo + prev_ext - lo
-    return range(prev_lo - lo if prev_lo > lo else 0, hi if hi < ext else ext)
-
-
-def _reached(successors):
-    """The successor rule of the directed families' reachability search,
-    staged slice by slice: it yields only the slices fully reached from the
-    East step of the previous slice's cells. No East, North or Ahead step
-    decreases x, so the cells of a slice can be reached only from the slices
-    to its left, and either DFS drops a prefix as soon as one of its slices
-    is not. First slices are not searched: a first slice is a box, and North
-    and Ahead steps from its minimal cell (the root) cover it. Steps do not
-    depend on where a slice sits, so one map per slice extents is built, at
-    the origin, once per call: a successor is searched in the map of its
-    extents, seeded with its cells one East step from prev, the box where
-    the two slices overlap on every axis, shifted to the successor's origin.
-    The verdict depends on nothing else, so beside each map a bytearray
-    keeps one verdict byte per seed box, at the box's bounds [lo, hi) on
-    each axis: a seed box is never empty, so 0 <= lo < hi <= ext, and the
-    axis index hi * (hi - 1) // 2 + lo takes ext * (ext + 1) // 2 slots
-    (tri holds the triangular numbers). A byte is 0 not searched yet, 1 not
-    reached, 2 reached. Each (extents, seed box) is searched once per call,
-    and every later placement reads its byte."""
+def _reach():
+    """The reach rule of the directed families' search, staged slice by
+    slice: a pair (reached, count) of functions of the extents pe of a slice
+    and e of its successor, each kept for the call per pair. reached(pe, e)
+    lists the successors of extents e fully reached from the East step of
+    the slice's cells, in _next_columns/_next_strata order, each as its
+    difference from the slice, entry by entry; count(pe, e) is their number.
+    No East, North or Ahead step decreases x, so the cells of a slice can be
+    reached only from the slices to its left. Steps do not depend on where a
+    slice sits, so one map per extents is built, at the origin, once per
+    call. A successor at offset r from the slice on an axis, 1 - e <= r <
+    pe, is searched from the box where the two overlap, [max(-r, 0),
+    min(pe - r, e)) on each axis from its origin. The verdict depends on
+    nothing else, so beside each map a bytearray keeps one verdict byte per
+    seed box: a seed box is never empty, so 0 <= lo < hi <= e, and the axis
+    index tri[hi] + lo takes e * (e + 1) // 2 slots (tri holds the
+    triangular numbers); an axis's index depends on (pe, e) and r only. A
+    byte is 0 not searched yet, 1 not reached, 2 reached. Each (extents,
+    seed box) is searched once per call, and every later offset reads its
+    byte."""
     known: dict[tuple, tuple[dict, bytearray]] = {}  # extents -> (step map at the origin, verdicts)
     tri = [0]  # n -> n * (n - 1) // 2: the boxes [lo, hi) with hi < n
 
-    def reached_successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
-        prev_los, prev_exts = prev[::2], prev[1::2]
-        for nxt, used in successors(prev, slices_left, size_left):
-            extents = nxt[1::2]
-            known_here = known.get(extents)
-            if known_here is None:
-                tri.extend(n * (n - 1) // 2 for n in range(len(tri), max(extents) + 2))
-                known_here = known[extents] = (_slice_steps(tuple(v for ext in extents for v in (0, ext))),
-                                               bytearray(prod(tri[ext + 1] for ext in extents)))
-            steps, verdicts = known_here
-            los = nxt[::2]
-            at = 0
-            for lo, ext, prev_lo, prev_ext in zip(los, extents, prev_los, prev_exts):
-                # the overlap [start, stop) of _overlap, without building it
-                start, stop = prev_lo - lo, prev_lo + prev_ext - lo
-                at = at * tri[ext + 1] + tri[stop if stop < ext else ext] + (start if start > 0 else 0)
-            verdict = verdicts[at]
-            if not verdict:
-                box = product(*map(_overlap, los, extents, prev_los, prev_exts))
-                verdict = verdicts[at] = 2 if _slice_reached(steps, box) else 1
-            if verdict == 2:
-                yield nxt, used
+    @cache
+    def axis(pe: int, e: int) -> list[int]:
+        # the index of the seed box at each offset r on one axis
+        return [tri[pe - r if pe - r < e else e] + (-r if r < 0 else 0) for r in range(1 - e, pe)]
 
-    return reached_successors
+    def verdicts(pe: tuple, e: tuple) -> bytes:
+        # the verdict byte at each offset, in placement order
+        known_here = known.get(e)
+        if known_here is None:
+            tri.extend(n * (n - 1) // 2 for n in range(len(tri), max(e) + 2))
+            known_here = known[e] = (_slice_steps(tuple(v for ext in e for v in (0, ext))),
+                                     bytearray(prod(tri[ext + 1] for ext in e)))
+        steps, table = known_here
+        at = axis(pe[0], e[0])
+        for p, x in zip(pe[1:], e[1:]):
+            at = [a * tri[x + 1] + i for a in at for i in axis(p, x)]
+        found = bytes(map(table.__getitem__, at))
+        if 0 in found:
+            for a in set(compress(at, map(not_, found))):
+                box, rest = [], a
+                for x in e[::-1]:  # each axis index tri[hi] + lo back to [lo, hi)
+                    rest, i = divmod(rest, tri[x + 1])
+                    hi = bisect_right(tri, i) - 1
+                    box.append(range(i - tri[hi], hi))
+                table[a] = 2 if _slice_reached(steps, product(*box[::-1])) else 1
+            found = bytes(map(table.__getitem__, at))
+        return found
+
+    def reached(pe: tuple, e: tuple) -> list[tuple]:
+        moves = [()]
+        for p, x in zip(pe, e):
+            moves = [move + (r, x - p) for move in moves for r in range(1 - x, p)]
+        return list(compress(moves, map((2).__eq__, verdicts(pe, e))))
+
+    return cache(reached), cache(lambda pe, e: verdicts(pe, e).count(2))
 
 
-def _directed(successors):
-    """The (successors, tail) pair of a directed family's count: the slices
-    _reached reaches, with the last two slices counted once per shape. The
-    DFS reaches a slice only when it is fully reached, successors are placed
-    relative to its offsets, and steps do not depend on where a slice sits,
-    so the ways to end below it with 1 or 2 slices depend only on its
-    extents and the size left; the tail searches them once per (extents,
-    slices left, size left) and _per_shape keeps the count for the call, as
-    it keeps _strata_tail's for plateau. Like _columns_tail and _strata_tail
-    it stops at two slices."""
-    reached = _reached(successors)
+def _directed(extents_rule):
+    """The (successors, tail) pair of a directed family's count, from its
+    extents rule (_column_extents, _strata_extents) and a fresh _reach.
+    successors places the slices that reached lists, one extents after the
+    other. The tail places nothing: whether a successor is reached depends
+    on its offset from its slice, not on where that slice sits, so the ways
+    to end below a fully reached slice depend only on its extents and the
+    size left. One slice takes the sum
+    of count over the extents of the size left, two take the sum of count
+    times that one-slice tail; both are kept for the call per (extents,
+    slices left, size left). Like _columns_tail and _strata_tail the tail
+    stops at two slices."""
+    reached, count = _reach()
 
-    def ends(prev: tuple, slices_left: int, size_left: int) -> int:
-        return sum(1 if slices_left == 1 else tail(nxt, 1, size_left - used)
-                   for nxt, used in reached(prev, slices_left, size_left))
+    def successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
+        pe = prev[1::2]
+        for e, used in extents_rule(slices_left, size_left):
+            for move in reached(pe, e):
+                yield tuple(map(add, prev, move)), used
 
-    tail = _per_shape(ends)
-    return reached, tail
+    @cache
+    def ends(pe: tuple, slices_left: int, size_left: int) -> int:
+        if slices_left == 1:
+            return sum(count(pe, e) for e, _ in extents_rule(1, size_left))
+        return sum(count(pe, e) * ends(e, 1, size_left - used) for e, used in extents_rule(2, size_left))
+
+    return successors, lambda prev, slices_left, size_left: ends(prev[1::2], slices_left, size_left)
 
 
 # family -> (its first-slice rule, a builder of the (successors, tail) pair
@@ -428,9 +461,9 @@ def _directed(successors):
 # stratum above the last two sits at many offsets with the same extents.
 _RULES = {
     "cc": (_first_columns, lambda: (_next_columns, _columns_tail)),
-    "dcc": (_first_columns, partial(_directed, _next_columns)),
+    "dcc": (_first_columns, partial(_directed, _column_extents)),
     "plateau": (_first_strata, lambda: (_next_strata, _per_shape(_strata_tail))),
-    "dplateau": (_first_strata, partial(_directed, _next_strata)),
+    "dplateau": (_first_strata, partial(_directed, _strata_extents)),
 }
 
 
@@ -595,12 +628,12 @@ def dump_objects(family: str, k: int, size: int, stream) -> int:
     one per line in the dump format above, in the order of iter_<family>;
     returns the object count. Lines are written from the tuples of the DFS
     over the successors of the family's _RULES entry (for dcc and dplateau,
-    the slices _reached reaches; tests hold them to the whole-object search
+    the slices _reach reaches; tests hold them to the whole-object search
     of iter_d*), without building an object per line."""
     if family not in _RULES:
         raise ValueError(f"unknown family {family!r}")
     first_slices, rules = _RULES[family]
-    text = lru_cache(maxsize=None)(_slice_text)  # the slices repeat across lines
+    text = cache(_slice_text)  # the slices repeat across lines
     count = 0
     for slices in _iter_slices(first_slices, rules()[0], k, size):
         stream.write(" ".join(map(text, slices)) + "\n")

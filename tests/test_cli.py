@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from polylat import cli
 from polylat.cli import MAX_SIZE, MAX_TABLE_CELLS, MAX_WIDTH, MAX_WORKERS, build_parser, main
 from polylat.counting import ROUTES, SIZE_UNIT
 from polylat.reference_tables import CC_TABLE
@@ -337,6 +338,36 @@ def test_verify_takes_no_workers(capsys):
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    # a count, an argparse error and a usage error of our own print what a
+    # freshly built parser prints, and the process builds one parser
+    calls = [
+        ["count", "--family", "dcc", "-k", "3", "-n", "7", "--method", "oracle"],
+        ["table", "--family", "cc", "--k-max", "3", "--size-max", "3", "--format", "xml"],
+        ["count", "--family", "cc", "-k", "3", "-n", "5", "--method", "closed"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 2]
+    assert "invalid choice: 'xml'" in fresh[1][2] and "method 'closed' is not available" in fresh[2][2]
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert built == [1]
+
+
 # Every subcommand's options: adding or dropping one must change this map.
 CLI_OPTIONS = {
     "count": {"--family", "-k", "-n", "-m", "--method", "--workers", "--dump", "--json"},
@@ -440,6 +471,10 @@ def test_dump_golden_digest(tmp_path, capsys, family, k, size):
         (["count", "--family", "dcc", "-k", "2", "-n", "-5", "--method", "oracle"], "-n must be >= 0, got -5"),
         (["count", "--family", "plateau", "-k", "2", "-m", "-1"], "-m must be >= 0, got -1"),
         (["gf", "--which", "Ck", "-k", "2", "--terms", "-1"], "--terms must be >= 0, got -1"),
+        (["gf", "--which", "Ck", "-k", "-1", "--terms", "3"], "error: -k must be >= 0, got -1"),
+        (["gf", "--which", "Sk", "-k", "-1", "--terms", "3"], "error: -k must be >= 0, got -1"),
+        (["gf", "--which", "Rk", "-k", "0", "--terms", "3"], "error: -k must be >= 1, got 0"),
+        (["gf", "--which", "Rk", "-k", "-1", "--terms", "3"], "error: -k must be >= 1, got -1"),
     ],
 )
 def test_arguments_over_their_limit_exit_2(capsys, argv, named):

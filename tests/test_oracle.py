@@ -7,7 +7,9 @@ import sys
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
+from itertools import groupby, product
 from math import prod
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from polylat.counting import count_cc, count_dcc, r_gf, s_closed
 from polylat.oracle import (
     ColumnConvexPoly,
     PlateauPolycube,
+    _column_extents,
     _columns_tail,
     _count_slices,
     _directed,
@@ -29,9 +32,10 @@ from polylat.oracle import (
     _iter_strata,
     _next_columns,
     _next_strata,
-    _reached,
+    _reach,
     _slice_reached,
     _slice_steps,
+    _strata_extents,
     _strata_tail,
     dump_objects,
     enum_cc,
@@ -643,6 +647,50 @@ def test_counts_keep_nothing_between_calls(monkeypatch):
     assert runs[1] == runs[0]
 
 
+def plainly_reached(successors):
+    # the successors a plain per-candidate search fully reaches: each one's
+    # own step map, at its place, searched from the cells where it overlaps
+    # the slice before it
+    def reached_only(prev, slices_left, size_left):
+        for nxt, used in successors(prev, slices_left, size_left):
+            box = product(*(range(max(lo, prev_lo), min(lo + ext, prev_lo + prev_ext))
+                            for lo, ext, prev_lo, prev_ext in zip(nxt[::2], nxt[1::2], prev[::2], prev[1::2])))
+            if _slice_reached(_slice_steps(nxt), box):
+                yield nxt, used
+    return reached_only
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_reach_counts_match_a_per_candidate_filter(data):
+    # every pair of extents one _reach answers, against the plain search of
+    # each candidate; the pairs share the verdict tables of one call
+    for successors, axes in ((_next_columns, 1), (_next_strata, 2)):
+        reached, count = _reach()
+        extents = st.tuples(*(st.integers(1, 7) for _ in range(axes)))
+        for _ in range(data.draw(st.integers(1, 6))):
+            pe, e = data.draw(extents), data.draw(extents)
+            prev = tuple(v for ext in pe for v in (data.draw(st.integers(-5, 5)), ext))
+            plain = [nxt for nxt, _ in plainly_reached(successors)(prev, 1, sum(e)) if nxt[1::2] == e]
+            assert count(pe, e) == len(plain), (pe, e)
+            assert reached(pe, e) == [tuple(map(sub, nxt, prev)) for nxt in plain], (pe, e)
+
+
+def test_extents_rules_follow_the_successor_rules():
+    # the directed DFS places by the extents rules, the cc and plateau DFS
+    # by _next_columns/_next_strata: both give the same extents, each with
+    # its size, in the same order, wherever the DFS asks (every slice left
+    # has at least the least size, unit)
+    for successors, extents_rule, unit, prevs in ((_next_columns, _column_extents, 1, ((1, 3), (-2, 1))),
+                                                  (_next_strata, _strata_extents, 2, ((1, 3, 0, 1), (-2, 1, 4, 2)))):
+        for prev in prevs:
+            for slices_left in range(1, 6):
+                for size_left in range(unit * slices_left, 20):
+                    runs = [key for key, _ in groupby((nxt[1::2], used) for nxt, used in
+                                                      successors(prev, slices_left, size_left))]
+                    assert runs == list(extents_rule(slices_left, size_left)), (prev, slices_left, size_left)
+
+
 def shifted(s, offsets):
     # the slice s moved by offsets, one per axis
     return tuple(v + offsets[i // 2] if i % 2 == 0 else v for i, v in enumerate(s))
@@ -653,23 +701,24 @@ def shifted(s, offsets):
 def test_reached_successors_move_with_their_slice(data, slices_left, size_left):
     # the fact the memoized tail rests on: shifting prev shifts its reached
     # successors the same way, and yields no other
-    for successors, axes in ((_next_columns, 1), (_next_strata, 2)):
+    for extents_rule, axes in ((_column_extents, 1), (_strata_extents, 2)):
         extent, offset = st.integers(1, 6), st.integers(-8, 8)
         prev = tuple(data.draw(st.tuples(*(strategy for _ in range(axes) for strategy in (offset, extent)))))
         shift = data.draw(st.tuples(*(offset for _ in range(axes))))
-        here = list(_reached(successors)(prev, slices_left, size_left))
-        moved = list(_reached(successors)(shifted(prev, shift), slices_left, size_left))
+        here = list(_directed(extents_rule)[0](prev, slices_left, size_left))
+        moved = list(_directed(extents_rule)[0](shifted(prev, shift), slices_left, size_left))
         assert moved == [(shifted(nxt, shift), used) for nxt, used in here], (prev, shift)
 
 
 def test_memoized_tail_matches_plain_staged_search():
-    # the last two slices counted once per shape against every slice placed
-    for first, successors, k_max, size_max in ((_first_columns, _next_columns, 6, 16),
-                                               (_first_strata, _next_strata, 5, 14)):
+    # the last two slices counted from per-pair reach counts against every
+    # slice placed and searched on its own
+    for first, successors, extents_rule, k_max, size_max in ((_first_columns, _next_columns, _column_extents, 6, 16),
+                                                             (_first_strata, _next_strata, _strata_extents, 5, 14)):
         for k in range(1, k_max + 1):
             for size in range(size_max + 1):
-                plain = sum(1 for _ in _iter_slices(first, _reached(successors), k, size))
-                assert _count_slices(first(k, size), *_directed(successors), k, size) == plain, (successors, k, size)
+                plain = sum(1 for _ in _iter_slices(first, plainly_reached(successors), k, size))
+                assert _count_slices(first(k, size), *_directed(extents_rule), k, size) == plain, (successors, k, size)
 
 
 def test_step_maps_are_bounded_by_the_extents():
