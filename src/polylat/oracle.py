@@ -54,14 +54,17 @@ All of a family's rules sit in one entry of _RULES: its first-slice rule
 slices an object can start with in DFS order, and a builder of the
 (successors, tail) pair its count walks (_directed for dcc and dplateau).
 The builder makes a fresh pair per call, so the memos of _reach,
-_directed and _per_shape live for that call only. The counts (_count) and
-dump_objects (--dump, which writes the DFS's tuples without building
-objects) both read that entry. Every count runs in the calling process.
+_directed and _per_shape live for that call only. The single counts
+(_count), the per-width counts (count_sizes, one walk at the largest of
+many sizes) and dump_objects (--dump, which writes the DFS's tuples
+without building objects) all read that entry. Every count runs in the
+calling process.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import compress, product
@@ -386,6 +389,7 @@ def _reach():
     byte is 0 not searched yet, 1 not reached, 2 reached. Each (extents,
     seed box) is searched once per call, and every later offset reads its
     byte."""
+    # the maps stay: stepping by extent arithmetic instead made the counts 1.2-2.1x slower
     known: dict[tuple, tuple[dict, bytearray]] = {}  # extents -> (step map at the origin, verdicts)
     tri = [0]  # n -> n * (n - 1) // 2: the boxes [lo, hi) with hi < n
 
@@ -494,6 +498,38 @@ def _count(family: str, k: int, size: int) -> int:
     and a fresh (successors, tail) pair of its _RULES entry."""
     first_slices, rules = _RULES[family]
     return _count_slices(first_slices(k, size), *rules(), k, size)
+
+
+def count_sizes(family: str, k: int, sizes: Iterable[int]) -> dict[int, int]:
+    """The family's count at width k and each of sizes, by one walk: the DFS
+    of _count_slices runs once at the largest size with a tail that records
+    each (extents above the last two, slices left, size left) and counts
+    nothing, then the family's tail counts each record once per size. The
+    DFS prunes a slice only on the size its later slices need, one unit per
+    extent each, so the walk at the largest size places every prefix of a
+    smaller one, and a record ends objects of a size exactly when the size
+    left covers its slices. Width 1 has no tail: its first slices are
+    counted at each size."""
+    first_slices, rules = _RULES[family]
+    if k == 1:
+        return {size: sum(1 for _ in first_slices(1, size)) for size in sizes}
+    counts = dict.fromkeys(sizes, 0)
+    top = max(counts, default=0)
+    successors, tail = rules()
+    records: dict[tuple, int] = defaultdict(int)  # (extents, slices left, size left at top) -> prefixes
+
+    def record(prev: tuple, slices_left: int, size_left: int) -> int:
+        records[prev[1::2], slices_left, size_left] += 1
+        return 0
+
+    _count_slices(first_slices(k, top), successors, record, k, top)
+    for (extents, slices_left, left), prefixes in records.items():
+        prev = tuple(v for ext in extents for v in (0, ext))  # the slice at the origin
+        for size in counts:
+            size_left = size - top + left
+            if size_left >= slices_left * len(extents):
+                counts[size] += prefixes * tail(prev, slices_left, size_left)
+    return counts
 
 
 def enum_cc(k: int, n: int) -> int:

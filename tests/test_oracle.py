@@ -37,6 +37,7 @@ from polylat.oracle import (
     _slice_steps,
     _strata_extents,
     _strata_tail,
+    count_sizes,
     dump_objects,
     enum_cc,
     enum_dcc,
@@ -625,9 +626,13 @@ def test_strata_tail_is_evaluated_once_per_shape(monkeypatch):
             assert len(evaluated) == len(set(evaluated)), (k, m)
 
 
+ENUMS = {"cc": enum_cc, "dcc": enum_dcc, "plateau": enum_plateau, "dplateau": enum_dplateau}
+
+
 def test_counts_keep_nothing_between_calls(monkeypatch):
-    # the verdicts and the per-shape tails are built per call: a second,
-    # identical call searches and evaluates as much as the first
+    # the verdicts, the per-shape tails and the per-width records are built
+    # per call: a second, identical call searches, records and evaluates as
+    # much as the first
     calls = Counter()
 
     def recording(name, rule):
@@ -636,15 +641,35 @@ def test_counts_keep_nothing_between_calls(monkeypatch):
             return rule(*args)
         return record
 
+    def recording_walk(firsts, successors, tail, k, size):
+        return _count_slices(firsts, successors, recording("recorded", tail), k, size)
+
+    walked = {family: {size: enum(4, size) for size in range(8, 14)} for family, enum in ENUMS.items()}
+    monkeypatch.setattr(oracle, "_count_slices", recording_walk)
     monkeypatch.setattr(oracle, "_slice_reached", recording("searched", _slice_reached))
     monkeypatch.setattr(oracle, "_strata_tail", recording("evaluated", _strata_tail))
+    monkeypatch.setattr(oracle, "_columns_tail", recording("evaluated", _columns_tail))
     runs = []
     for _ in range(2):
         calls.clear()
         assert enum_dplateau(3, 12) == 5005 and enum_plateau(4, 12) == r_gf(4, 12)
+        for family, counts in walked.items():
+            assert count_sizes(family, 4, range(8, 14)) == counts, family
         runs.append(calls.copy())
-    assert runs[0]["searched"] and runs[0]["evaluated"]
+    assert runs[0]["searched"] and runs[0]["evaluated"] and runs[0]["recorded"]
     assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("family", ENUMS)
+def test_one_walk_counts_every_size_of_a_width(family):
+    # k = 1, sizes below the support, an unordered list with gaps, and
+    # every size up to 14
+    for k in range(1, 6):
+        for sizes in ([14, 3, 0, 9, 7, 12, 1], range(15)):
+            counts = count_sizes(family, k, sizes)
+            assert counts == {size: ENUMS[family](k, size) for size in sizes}, (family, k)
+            assert list(counts) == list(sizes), (family, k)
+    assert count_sizes(family, 3, []) == {}
 
 
 def plainly_reached(successors):

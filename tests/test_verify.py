@@ -5,7 +5,8 @@ import json
 import pytest
 
 from polylat import oracle, verify
-from polylat.counting import count_dcc
+from polylat.counting import count_dcc, r_gf, s_closed
+from polylat.oracle import count_sizes
 from polylat.verify import (
     FAIL,
     PAPER_DISCREPANCY,
@@ -101,6 +102,9 @@ OTHER = oracle.PlateauPolycube(((0, 1, 0, 2), (0, 2, 0, 2)))
     # the voxel lateral area is one too large on the target's cells
     (oracle, "lateral_area_voxels", lambda right: lambda cells: right(cells) + (cells == TARGET.cells()),
      "bijection-k2-m7"),
+    # the target's two projections come out swapped
+    (oracle, "project", lambda right: lambda p: right(p)[::-1] if p == TARGET else right(p),
+     "bijection-k2-m7"),
     # the whole-object search answers wrong on the target alone
     (oracle.PlateauPolycube, "is_directed", lambda right: lambda p: right(p) != (p == TARGET),
      "directedness-transfer-k2-m7"),
@@ -162,12 +166,35 @@ def test_directed_oracle_records(all_report):
         assert (by_id[check_id].expected, by_id[check_id].actual, by_id[check_id].status) == (scope, scope, PASS)
 
 
-def test_oracle_disagreement_fails_its_record():
-    def off_at_k3_n7(k, n):
-        return oracle.enum_dcc(k, n) + ((k, n) == (3, 7))
+def test_oracle_walks_stay_within_the_budget(monkeypatch):
+    # each width is walked once, at most to its largest size within the
+    # budget, and no skipped cell is counted
+    monkeypatch.setattr(verify, "ORACLE_COUNT_BUDGET", 1000)
+    walks = []
 
+    def recording(family, k, sizes):
+        walks.append((family, k, list(sizes)))
+        return count_sizes(family, k, sizes)
+
+    monkeypatch.setattr(oracle, "count_sizes", recording)
+    skipped = {c.id for c in suite_tables().checks if "skipped" in c.expected}
+    assert len(skipped) == 7
+    formulas = {"plateau": r_gf, "dcc": count_dcc, "dplateau": s_closed}
+    assert [(family, k) for family, k, _ in walks] == [
+        *(("plateau", k) for k in range(1, 8)), *(("dcc", k) for k in range(1, 5)),
+        *(("dplateau", k) for k in range(1, 5))]
+    for family, k, sizes in walks:
+        # the walk's largest size, like every size it counts, is within the budget
+        assert sizes and all(formulas[family](k, size) <= 1000 for size in sizes), (family, k)
+
+
+def test_oracle_disagreement_fails_its_record(monkeypatch):
+    def off_at_k3_n7(family, k, sizes):
+        return {n: count + ((k, n) == (3, 7)) for n, count in count_sizes(family, k, sizes).items()}
+
+    monkeypatch.setattr(oracle, "count_sizes", off_at_k3_n7)
     report = RunReport("demo")
-    verify._add_oracle_checks(report, "dcc-oracle-n", off_at_k3_n7, count_dcc, range(6, 9), range(1, 5))
+    verify._add_oracle_checks(report, "dcc-oracle-n", "dcc", count_dcc, range(6, 9), range(1, 5))
     assert [(c.id, c.actual, c.status) for c in report.checks] == [
         ("dcc-oracle-n6", "agreement for k in [1, 2, 3, 4]", PASS),
         ("dcc-oracle-n7", "oracle disagreement", FAIL),
