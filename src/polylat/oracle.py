@@ -495,7 +495,10 @@ def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
 
 def _count(family: str, k: int, size: int) -> int:
     """The family's count at (k, size): _count_slices over its first slices
-    and a fresh (successors, tail) pair of its _RULES entry."""
+    and a fresh (successors, tail) pair of its _RULES entry. It applies the
+    tail at each prefix instead of going through count_sizes, whose records
+    cost more than a closed-form tail: count_sizes at one size was 1.7x
+    slower on cc (5, 16) and 1.24x on plateau (4, 15)."""
     first_slices, rules = _RULES[family]
     return _count_slices(first_slices(k, size), *rules(), k, size)
 
