@@ -228,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="one exact count")
     p_count.add_argument("--family", required=True, choices=FAMILIES)
     p_count.add_argument("-k", type=int, required=True, help="width (number of columns/strata)")
-    p_count.add_argument("-n", type=int, help="area (2D families)")
-    p_count.add_argument("-m", type=int, help="lateral area (3D families)")
+    p_count.add_argument("-n", type=int, help="area (2D families); any family takes either size flag")
+    p_count.add_argument("-m", type=int, help="lateral area (3D families); any family takes either size flag")
     p_count.add_argument("--method", choices=sorted({route for routes in ROUTES.values() for route in routes}))
     p_count.add_argument("--workers", type=int, default=1,
                          help=f"with --method oracle: accepted (1 to {MAX_WORKERS}); every count runs in one process")

@@ -18,12 +18,14 @@ meaningless arguments (width < 1, unknown family) raise.
 Single counts read one width's series. count_cc and r_gf keep a
 per-process cache of series and expanded prefixes, one dict per series
 factory keyed by width, and answer a hit in their own body (one dict
-lookup and one list index). A width's first two asks past its prefix are
-one binomial sum each, and only its third expands the series, through the
-largest size asked (_cached_coeff). The cache keeps at most
-SERIES_CACHE_BITS bits, evicting whole widths, the oldest stored first.
-r_conv reads the whole cc column from the width's cached prefix, so it
-expands on its first call, and s_conv walks the dcc column by exact
+lookup and one list index). Each query past a width's prefix is one ask:
+a count_cc or r_gf miss, or an r_conv call, whose ask is its entry
+count_cc. A width's first two asks past its prefix are one binomial sum
+each, and only its third expands the series, through the largest size
+asked (_cached_coeff). The cache keeps at most SERIES_CACHE_BITS bits,
+evicting whole widths, the oldest stored first. r_conv reads the whole cc
+column from the width's cached prefix, so it expands on its first call
+without counting a second ask, and s_conv walks the dcc column by exact
 binomial ratios, independent of s_closed; each convolution sums its column
 against its own reverse.
 
@@ -136,9 +138,10 @@ def alpha_lemma(k: int, u: int) -> int:
 
 
 # The series cache, one dict per series factory: width k -> (expanded prefix,
-# series gf_C(k-1) or gf_R(k), asks past the prefix, largest size asked, bits
-# kept, store order). Its bound on the bits of numerators and prefixes is 1.5
-# times the 66.4 million that asympt --family plateau --offset 196 keeps.
+# series gf_C(k-1) or gf_R(k), asks past the prefix counted up to two, largest
+# size asked, bits kept, store order). Its bound on the bits of numerators and
+# prefixes is 1.5 times the 66.4 million that asympt --family plateau --offset
+# 196 keeps.
 SERIES_CACHE_BITS = 100_000_000
 _SERIES_CACHE = _CC_SERIES, _R_SERIES = {}, {}
 _STORES = count()
@@ -158,29 +161,32 @@ def _keep(cache: dict[int, tuple], k: int, entry: tuple) -> None:
 
 def _cached_prefix(cache: dict[int, tuple], k: int, n: int) -> list[int]:
     """The cached prefix of a width in the cache, expanded through at least
-    term n; an expansion counts as one ask and runs through the largest of
-    n, the largest size asked, twice the expanded length and 32."""
+    term n; an expansion runs through the largest of n, the largest size
+    asked, twice the expanded length and 32. It counts no ask: the query
+    that reads the prefix (_cached_coeff's or r_conv's) has counted its own."""
     prefix, gf, asks, largest, bits, order = cache[k]
     if n >= len(prefix):
         largest = max(largest, n)
         prefix = gf_coeffs(gf, max(largest, 2 * len(prefix), 32))
         bits = sum(map(int.bit_length, chain(gf.num, prefix)))
-        _keep(cache, k, (prefix, gf, asks + 1, largest, bits, order))
+        _keep(cache, k, (prefix, gf, asks, largest, bits, order))
     return prefix
 
 
 def _cached_coeff(cache: dict[int, tuple], k: int, n: int, factory: Callable[[int], RationalGF], index: int) -> int:
     """Coefficient [t^n] of width k's series factory(index) on a cache miss;
     count_cc and r_gf answer a hit (n within the expanded prefix) in their
-    own body. A width's first two asks past the prefix build its series
-    once, keep it and answer by one binomial sum each (gf_coeff): a sum
-    costs about one term per numerator coefficient, an expansion e rounds
-    over every term up to n. The third expands the series through the
-    largest size asked so far, and later misses grow it by _cached_prefix's
-    rule. A store past SERIES_CACHE_BITS evicts whole widths, the oldest
-    stored first, never the one being served; a hit records nothing. Every
-    entry written holds exact values, so concurrent use is safe: a race can
-    only lose an ask or a prefix, never a value."""
+    own body. Each miss is one ask, and this is the one place asks are
+    counted (up to two, all the rule reads). A width's first two asks past
+    the prefix build its series once, keep it and answer by one binomial
+    sum each (gf_coeff): a sum costs about one term per numerator
+    coefficient, an expansion e rounds over every term up to n. The third
+    expands the series through the largest size asked so far, and later
+    misses grow it by _cached_prefix's rule. A store past SERIES_CACHE_BITS
+    evicts whole widths, the oldest stored first, never the one being
+    served; a hit records nothing. Every entry written holds exact values,
+    so concurrent use is safe: a race can only lose an ask or a prefix,
+    never a value."""
     entry = cache.get(k)
     if entry is None:
         gf = factory(index)
@@ -209,9 +215,11 @@ def r_conv(k: int, m: int) -> int:
     over the two projection areas: sum_{i=k..m-k} cc(k,i) * cc(k,m-i).
 
     count_cc(k, m-k) enters the width's series in the cache (or finds it
-    there) as one ask; the column cc(k, k..m-k) is then read once from its
-    cached prefix, expanded through m-k if shorter, and convolved with its
-    reverse. Zero when m < 2k, without building the series."""
+    there) and is the call's one ask; the column cc(k, k..m-k) is then read
+    once from its cached prefix, expanded through m-k if shorter without
+    counting another ask, and convolved with its reverse. So after a cold
+    width's first r_conv the next single miss is its second ask, a binomial
+    sum. Zero when m < 2k, without building the series."""
     _check_width(k)
     if m < 2 * k:
         return 0

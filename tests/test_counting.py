@@ -4,7 +4,7 @@ import sys
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polylat import combinatorics, counting, gfseries, oracle
@@ -302,15 +302,32 @@ CACHED_ROUTES = {"count_cc": count_cc, "r_conv": r_conv, "r_gf": r_gf}
 
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.tuples(st.sampled_from(sorted(CACHED_ROUTES)), st.integers(1, 4), st.integers(0, 80)), max_size=12))
-def test_cached_routes_in_any_order_match_a_fresh_cache(queries):
+@example([("r_conv", 2, 40), ("count_cc", 2, 70), ("count_cc", 2, 71), ("r_gf", 2, 70)])
+def test_cached_routes_in_any_order_keep_one_ask_per_query(queries):
     # count_cc and r_conv share each width's cache entry; sizes up to 80
-    # cross the cache's growth steps 32 and 66
+    # cross the cache's growth steps 32 and 66. Each query past a width's
+    # prefix is one ask, an r_conv call included: a single count expands
+    # exactly when its width has had two earlier asks, and an r_conv miss
+    # expands once, to read its column. Every value is the fresh cache's
     fresh = []
     for name, k, size in queries:
         with _fresh_series_cache():
             fresh.append(CACHED_ROUTES[name](k, size))
-    with _fresh_series_cache():
-        assert [CACHED_ROUTES[name](k, size) for name, k, size in queries] == fresh
+    expansions = []
+    expand = counting.gf_coeffs
+    asks = {}
+    with _fresh_series_cache(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "gf_coeffs", lambda gf, upto: expansions.append(upto) or expand(gf, upto))
+        for (name, k, size), value in zip(queries, fresh):
+            cache = counting._R_SERIES if name == "r_gf" else counting._CC_SERIES
+            least = k if name == "count_cc" else 2 * k
+            asked = size - k if name == "r_conv" else size
+            miss = size >= least and asked >= len(cache[k][0] if k in cache else ())
+            earlier = asks.get((id(cache), k), 0)
+            before = len(expansions)
+            assert CACHED_ROUTES[name](k, size) == value
+            assert len(expansions) - before == (miss and (name == "r_conv" or earlier >= 2))
+            asks[id(cache), k] = earlier + miss
 
 
 def _counting_series_calls(monkeypatch, names=("gf_C", "gf_R", "gf_coeff", "gf_coeffs")):
@@ -592,8 +609,9 @@ def test_the_cache_bound_is_reached_and_held(monkeypatch):
 
 def test_r_conv_expands_a_cold_width_on_its_first_call(monkeypatch):
     # the convolution reads the whole column: its count_cc is the width's
-    # first ask, a single sum, and the column read expands the series and
-    # counts as the second, so the next miss grows the prefix
+    # first ask, a single sum, and the column read expands the series
+    # without counting an ask, so the next miss is the second ask, a single
+    # sum, and only the third grows the prefix
     calls = _counting_series_calls(monkeypatch, ("gf_coeff", "gf_coeffs"))
     by_column = r_conv(12, 200)
     assert calls == ["gf_coeff", "gf_coeffs"]
@@ -602,7 +620,11 @@ def test_r_conv_expands_a_cold_width_on_its_first_call(monkeypatch):
     assert r_conv(12, 100) == _r_conv_by_terms(12, 100)
     assert calls == ["gf_coeff", "gf_coeffs"]
     assert count_cc(12, 300) == _cc_binomial_sum(12, 300)
-    assert calls == ["gf_coeff", "gf_coeffs", "gf_coeffs"]
+    assert calls == ["gf_coeff", "gf_coeffs", "gf_coeff"]
+    assert count_cc(12, 301) == _cc_binomial_sum(12, 301)
+    assert calls == ["gf_coeff", "gf_coeffs", "gf_coeff", "gf_coeffs"]
+    # the third ask grows the prefix through twice its length of 189 terms
+    assert len(counting._CC_SERIES[12][0]) == 2 * 189 + 1
 
 
 def test_large_cold_cells_expand_nothing(monkeypatch):
