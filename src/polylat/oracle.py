@@ -9,9 +9,14 @@ That constructive representation is unique per object, so enumeration is
 plain depth-first generation over heights/depths and offsets, pruned on
 the remaining size budget, with no canonical-form hashing.
 
-The iter_* generators (and so the bijection suite) build and yield every
-object literally, by one DFS (_iter_slices) over a successor rule per
-slice kind (_next_columns, _next_strata). The enum_* counts walk the same
+A column is a box with a = 1 axis, a stratum one with a = 2, and one set
+of rules takes a: _sizes leaves each later slice one unit per axis and
+the last one the rest, _extents splits a size into extents in
+lexicographic order on demand, and _first_slices puts those at the
+origin. The DFS goes by size, then extents, then offsets; only the offset
+loops are written per a (_next_columns, _next_strata). The iter_*
+generators (and so the bijection suite) build and yield every object
+literally, by one DFS (_iter_slices). The enum_* counts walk the same
 tree without yielding (_count_slices): they place every column/stratum
 but the last two at every offset, and a tail rule counts the last two. For
 cc and plateau the tail (_columns_tail, _strata_tail) counts them in O(1)
@@ -41,24 +46,23 @@ and the seed box, so beside each map one verdict byte per seed box
 records whether the box was searched and with what result: each
 (extents, seed box) is searched once per call. A successor's seed box on
 each axis depends only on the two slices' extents and its offset, so the
-rule answers per pair of extents (_directed reads each family's extents
-rule, _column_extents or _strata_extents): the reached offsets, kept for
-the call, and their count. The DFS places every slice above the last two
-at each reached offset. Below a fully reached slice the ways to end
+rule answers per pair of extents (_directed(a) reads the size and extents
+rules, the extents of each size kept for the call): the reached offsets,
+kept for the call, and their count. The DFS places every slice above the
+last two at each reached offset. Below a fully reached slice the ways to end
 depend only on its extents and the size left, so the directed counts
 also end with a tail rule for the last two slices, sums of per-pair
 reach counts kept per shape for the call. It too stops at two slices.
 
-All of a family's rules sit in one entry of _RULES: its first-slice rule
-(_first_columns, _first_strata), which generates the normalized first
-slices an object can start with in DFS order, and a builder of the
-(successors, tail) pair its count walks (_directed for dcc and dplateau).
-The builder makes a fresh pair per call, so the memos of _reach,
-_directed and _per_shape live for that call only. The single counts
-(_count), the per-width counts (count_sizes, one walk at the largest of
-many sizes) and dump_objects (--dump, which writes the DFS's tuples
-without building objects) all read that entry. Every count runs in the
-calling process.
+All of a family's rules sit in one entry of _RULES: its number of axes a,
+which picks its first slices, and a builder of the (successors, tail)
+pair its walks take (_directed(a) for dcc and dplateau). The builder
+makes a fresh pair per call, so the memos of _reach, _directed and
+_per_shape live for that call only. The single counts (_count), the
+per-width counts (count_sizes, one walk at the largest of many sizes) and
+the one tuple walk (_tuples) all read that entry; iter_cc, iter_plateau
+and dump_objects (--dump, which writes the walk's tuples without building
+objects) read that walk. Every count runs in the calling process.
 """
 from __future__ import annotations
 
@@ -179,53 +183,59 @@ def _is_directed(plats: tuple[Stratum, ...]) -> bool:
     return len(seen) == sum(h * d for _, h, _, d in plats)
 
 
-def _first_columns(k: int, n: int) -> Iterator[Column]:
-    """The normalized first columns (0, h) of the width-k column tuples of
-    area n, in DFS order: every height that leaves each later column one
-    cell, the whole area for a single column. Empty when n < k. The width
-    is checked at the call, the columns are generated on demand."""
+def _sizes(a: int, slices_left: int, size_left: int) -> range:
+    """The sizes a slice with a axes can take when slices_left slices, this
+    one included, share size_left: each later slice needs one unit per axis,
+    and the last slice takes the rest (none when the rest is below a)."""
+    rest = size_left - a * (slices_left - 1)
+    return range(rest if slices_left == 1 and rest >= a else a, rest + 1)
+
+
+def _extents(a: int, size: int) -> Iterable[tuple[int, ...]]:
+    """The extents of a slice with a axes and size `size`, generated on
+    demand: the tuples of a positive integers summing to size, in
+    lexicographic order. (h,) for a column, (h, d) by h for a stratum."""
+    if a == 1:
+        return ((size,),)
+    return ((e, *rest) for e in range(1, size - a + 2) for rest in _extents(a - 1, size - e))
+
+
+def _at_origin(e: tuple) -> tuple:
+    """The slice of extents e at the origin: offset 0 on every axis."""
+    return tuple(v for ext in e for v in (0, ext))
+
+
+def _first_slices(a: int, k: int, size: int) -> Iterator[tuple]:
+    """The normalized first slices of the width-k tuples of slices with a
+    axes and total size `size`, in DFS order: the extents of each size of
+    _sizes, at the origin. Empty when size < a * k. The width is checked at
+    the call, the slices are generated on demand."""
     if k < 1:
         raise ValueError(f"width must be >= 1, got {k}")
-    if n < k:
-        return iter(())
-    h_min = n if k == 1 else 1
-    return ((0, h) for h in range(h_min, n - k + 2))
+    return (_at_origin(e) for s in _sizes(a, k, size) for e in _extents(a, s))
 
 
-def _first_strata(k: int, m: int) -> Iterator[Stratum]:
-    """The normalized first strata (0, h, 0, d) of the width-k stratum
-    tuples of lateral area m, in DFS order (by h + d, then h): each later
-    stratum needs h + d >= 2, a single one takes it all. Empty when m < 2k.
-    The width is checked at the call, the strata are generated on demand."""
-    if k < 1:
-        raise ValueError(f"width must be >= 1, got {k}")
-    if m < 2 * k:
-        return iter(())
-    s_min = m if k == 1 else 2
-    return ((0, h, 0, s - h) for s in range(s_min, m - 2 * (k - 1) + 1) for h in range(1, s))
-
-
+# The successors of the cc and plateau walks: the extents of each size of
+# _sizes in _extents order, each at every overlap-feasible offset. They are
+# written per number of axes: one offset loop for any a, a product of
+# per-axis offset ranges, made enum_cc(5, 16) 4.1x and enum_plateau(4, 15)
+# 2.8x slower, and reading _extents(2, s) instead of the loop over h made
+# enum_plateau(4, 15) 1.15x slower.
 def _next_columns(prev: Column, cols_left: int, area_left: int) -> Iterator[tuple[Column, int]]:
     """The columns (b, h) that can follow prev when cols_left columns, this
-    one included, share area_left cells, each with its area h: heights
-    pruned on the remaining area, then the overlap-feasible bottoms."""
-    # later columns need 1 cell each; the last column takes the rest
-    h_min = area_left if cols_left == 1 else 1
+    one included, share area_left cells, each with its area h."""
     pb, ph = prev
-    for h in range(h_min, area_left - (cols_left - 1) + 1):
+    for h in _sizes(1, cols_left, area_left):
         for b in range(pb - h + 1, pb + ph):
             yield (b, h), h
 
 
-def _next_strata(prev: Stratum, cols_left: int, area_left: int) -> Iterator[tuple[Stratum, int]]:
-    """The strata (y, h, z, d) that can follow prev when cols_left strata,
+def _next_strata(prev: Stratum, strata_left: int, area_left: int) -> Iterator[tuple[Stratum, int]]:
+    """The strata (y, h, z, d) that can follow prev when strata_left strata,
     this one included, share lateral area area_left, each with its lateral
-    area h + d: (height, depth) pairs pruned on the remaining area, then the
-    overlap-feasible y/z offsets."""
-    # later strata need h + d >= 2 each; the last stratum takes the rest
-    s_min = area_left if cols_left == 1 else 2
+    area h + d."""
     py, ph, pz, pd = prev
-    for s in range(s_min, area_left - 2 * (cols_left - 1) + 1):
+    for s in _sizes(2, strata_left, area_left):
         for h in range(1, s):
             d = s - h
             for y in range(py - h + 1, py + ph):
@@ -233,23 +243,9 @@ def _next_strata(prev: Stratum, cols_left: int, area_left: int) -> Iterator[tupl
                     yield (y, h, z, d), s
 
 
-def _column_extents(cols_left: int, area_left: int) -> Iterator[tuple[tuple[int], int]]:
-    """The extents (h,) of _next_columns's columns, in its order, each with
-    its area h."""
-    h_min = area_left if cols_left == 1 else 1
-    return (((h,), h) for h in range(h_min, area_left - cols_left + 2))
-
-
-def _strata_extents(strata_left: int, area_left: int) -> Iterator[tuple[tuple[int, int], int]]:
-    """The extents (h, d) of _next_strata's strata, in its order, each with
-    its lateral area h + d."""
-    s_min = area_left if strata_left == 1 else 2
-    return (((h, s - h), s) for s in range(s_min, area_left - 2 * strata_left + 3) for h in range(1, s))
-
-
-def _iter_slices(first_slices, successors, k: int, size: int) -> Iterator[tuple]:
-    """All slice tuples of width k and total size `size`, one first slice
-    of first_slices(k, size) after the other, by DFS over
+def _iter_slices(firsts: Iterable, successors, k: int, size: int) -> Iterator[tuple]:
+    """All slice tuples of width k and total size `size` that start with one
+    of firsts, one first slice after the other, by DFS over
     successors(prev, slices_left, size_left). A slice's size is the sum of
     its extents, its odd-indexed entries."""
     current: list = []
@@ -263,16 +259,10 @@ def _iter_slices(first_slices, successors, k: int, size: int) -> Iterator[tuple]
             yield from rec(slices_left - 1, size_left - used)
             current.pop()
 
-    for first in first_slices(k, size):
+    for first in firsts:
         current.append(first)
         yield from rec(k - 1, size - sum(first[1::2]))
         current.pop()
-
-
-# (k, n): the normalized column tuples of width k and area n, and
-# (k, m): the normalized stratum tuples of width k and lateral area m.
-_iter_columns = partial(_iter_slices, _first_columns, _next_columns)
-_iter_strata = partial(_iter_slices, _first_strata, _next_strata)
 
 
 def _count_slices(firsts: Iterable, successors, tail, k: int, size: int) -> int:
@@ -403,7 +393,7 @@ def _reach():
         known_here = known.get(e)
         if known_here is None:
             tri.extend(n * (n - 1) // 2 for n in range(len(tri), max(e) + 2))
-            known_here = known[e] = (_slice_steps(tuple(v for ext in e for v in (0, ext))),
+            known_here = known[e] = (_slice_steps(_at_origin(e)),
                                      bytearray(prod(tri[ext + 1] for ext in e)))
         steps, table = known_here
         at = axis(pe[0], e[0])
@@ -430,51 +420,60 @@ def _reach():
     return cache(reached), cache(lambda pe, e: verdicts(pe, e).count(2))
 
 
-def _directed(extents_rule):
-    """The (successors, tail) pair of a directed family's count, from its
-    extents rule (_column_extents, _strata_extents) and a fresh _reach.
-    successors places the slices that reached lists, one extents after the
-    other. The tail places nothing: whether a successor is reached depends
-    on its offset from its slice, not on where that slice sits, so the ways
-    to end below a fully reached slice depend only on its extents and the
-    size left. One slice takes the sum
-    of count over the extents of the size left, two take the sum of count
-    times that one-slice tail; both are kept for the call per (extents,
-    slices left, size left). Like _columns_tail and _strata_tail the tail
-    stops at two slices."""
+def _directed(a: int):
+    """The (successors, tail) pair of the count of a directed family whose
+    slices have a axes, from a fresh _reach. successors places the slices
+    that reached lists, one extents after the other, in the order of
+    _sizes and _extents; the extents of each size are kept for the call. The
+    tail places nothing: whether a successor is reached depends on its
+    offset from its slice, not on where that slice sits, so the ways to end
+    below a fully reached slice depend only on its extents and the size
+    left. One slice takes the sum of count over the extents of the size
+    left, two take the sum of count times that one-slice tail; both are kept
+    for the call per (extents, slices left, size left). Like _columns_tail
+    and _strata_tail the tail stops at two slices."""
     reached, count = _reach()
+    extents = cache(lambda s: list(_extents(a, s)))
 
     def successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
         pe = prev[1::2]
-        for e, used in extents_rule(slices_left, size_left):
-            for move in reached(pe, e):
-                yield tuple(map(add, prev, move)), used
+        for s in _sizes(a, slices_left, size_left):
+            for e in extents(s):
+                for move in reached(pe, e):
+                    yield tuple(map(add, prev, move)), s
 
     @cache
     def ends(pe: tuple, slices_left: int, size_left: int) -> int:
         if slices_left == 1:
-            return sum(count(pe, e) for e, _ in extents_rule(1, size_left))
-        return sum(count(pe, e) * ends(e, 1, size_left - used) for e, used in extents_rule(2, size_left))
+            return sum(count(pe, e) for e in extents(size_left))
+        return sum(count(pe, e) * ends(e, 1, size_left - s) for s in _sizes(a, 2, size_left) for e in extents(s))
 
     return successors, lambda prev, slices_left, size_left: ends(prev[1::2], slices_left, size_left)
 
 
-# family -> (its first-slice rule, a builder of the (successors, tail) pair
-# its count walks). A builder returns a fresh pair on each call, so the
-# memos in it last one call. The plateau tail is kept per shape: the
-# stratum above the last two sits at many offsets with the same extents.
+# family -> (the number of axes a of its slices, 1 for columns and 2 for
+# strata, and a builder of the (successors, tail) pair its count walks). A
+# builder returns a fresh pair on each call, so the memos in it last one
+# call. The plateau tail is kept per shape: the stratum above the last two
+# sits at many offsets with the same extents.
 _RULES = {
-    "cc": (_first_columns, lambda: (_next_columns, _columns_tail)),
-    "dcc": (_first_columns, partial(_directed, _column_extents)),
-    "plateau": (_first_strata, lambda: (_next_strata, _per_shape(_strata_tail))),
-    "dplateau": (_first_strata, partial(_directed, _strata_extents)),
+    "cc": (1, lambda: (_next_columns, _columns_tail)),
+    "dcc": (1, partial(_directed, 1)),
+    "plateau": (2, lambda: (_next_strata, _per_shape(_strata_tail))),
+    "dplateau": (2, partial(_directed, 2)),
 }
+
+
+def _tuples(family: str, k: int, size: int) -> Iterator[tuple]:
+    """The family's slice tuples at (k, size) in DFS order, by the first
+    slices and successors of its _RULES entry."""
+    a, rules = _RULES[family]
+    return _iter_slices(_first_slices(a, k, size), rules()[0], k, size)
 
 
 def iter_cc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
     """Every normalized column-convex polyomino with k columns and area n."""
-    for cols in _iter_columns(k, n):
-        yield ColumnConvexPoly(cols)
+    yield from map(ColumnConvexPoly, _tuples("cc", k, n))
 
 
 def iter_dcc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
@@ -484,8 +483,7 @@ def iter_dcc(k: int, n: int) -> Iterator[ColumnConvexPoly]:
 
 def iter_plateau(k: int, m: int) -> Iterator[PlateauPolycube]:
     """Every normalized plateau polycube with k strata and lateral area m."""
-    for plats in _iter_strata(k, m):
-        yield PlateauPolycube(plats)
+    yield from map(PlateauPolycube, _tuples("plateau", k, m))
 
 
 def iter_dplateau(k: int, m: int) -> Iterator[PlateauPolycube]:
@@ -499,8 +497,8 @@ def _count(family: str, k: int, size: int) -> int:
     tail at each prefix instead of going through count_sizes, whose records
     cost more than a closed-form tail: count_sizes at one size was 1.7x
     slower on cc (5, 16) and 1.24x on plateau (4, 15)."""
-    first_slices, rules = _RULES[family]
-    return _count_slices(first_slices(k, size), *rules(), k, size)
+    a, rules = _RULES[family]
+    return _count_slices(_first_slices(a, k, size), *rules(), k, size)
 
 
 def count_sizes(family: str, k: int, sizes: Iterable[int]) -> dict[int, int]:
@@ -513,9 +511,9 @@ def count_sizes(family: str, k: int, sizes: Iterable[int]) -> dict[int, int]:
     smaller one, and a record ends objects of a size exactly when the size
     left covers its slices. Width 1 has no tail: its first slices are
     counted at each size."""
-    first_slices, rules = _RULES[family]
+    a, rules = _RULES[family]
     if k == 1:
-        return {size: sum(1 for _ in first_slices(1, size)) for size in sizes}
+        return {size: sum(1 for _ in _first_slices(a, 1, size)) for size in sizes}
     counts = dict.fromkeys(sizes, 0)
     top = max(counts, default=0)
     successors, tail = rules()
@@ -525,9 +523,9 @@ def count_sizes(family: str, k: int, sizes: Iterable[int]) -> dict[int, int]:
         records[prev[1::2], slices_left, size_left] += 1
         return 0
 
-    _count_slices(first_slices(k, top), successors, record, k, top)
+    _count_slices(_first_slices(a, k, top), successors, record, k, top)
     for (extents, slices_left, left), prefixes in records.items():
-        prev = tuple(v for ext in extents for v in (0, ext))  # the slice at the origin
+        prev = _at_origin(extents)
         for size in counts:
             size_left = size - top + left
             if size_left >= slices_left * len(extents):
@@ -544,8 +542,8 @@ def enum_cc(k: int, n: int) -> int:
 
 def enum_dcc(k: int, n: int) -> int:
     """Count of directed column-convex polyominoes with k columns and
-    area n: the column tuples of _iter_columns whose every cell the
-    slice-staged search reaches. 0 when n < k."""
+    area n: the column tuples of iter_cc whose every cell the slice-staged
+    search reaches. 0 when n < k."""
     return _count("dcc", k, n)
 
 
@@ -558,7 +556,7 @@ def enum_plateau(k: int, m: int) -> int:
 
 def enum_dplateau(k: int, m: int) -> int:
     """Count of directed plateau polycubes with k strata and lateral area m:
-    the stratum tuples of _iter_strata whose every cell the slice-staged
+    the stratum tuples of iter_plateau whose every cell the slice-staged
     search reaches. 0 when m < 2k."""
     return _count("dplateau", k, m)
 
@@ -671,10 +669,9 @@ def dump_objects(family: str, k: int, size: int, stream) -> int:
     of iter_d*), without building an object per line."""
     if family not in _RULES:
         raise ValueError(f"unknown family {family!r}")
-    first_slices, rules = _RULES[family]
     text = cache(_slice_text)  # the slices repeat across lines
     count = 0
-    for slices in _iter_slices(first_slices, rules()[0], k, size):
+    for slices in _tuples(family, k, size):
         stream.write(" ".join(map(text, slices)) + "\n")
         count += 1
     return count

@@ -412,7 +412,9 @@ GF_DIGESTS = {
 # SHA-256 of verify --suite all stdout and of the dump files of the
 # benchmark's dump cells, taken while 2D and 3D directedness were still
 # searched by separate functions: lifting columns to depth-1 strata for the
-# one 3D search must not change a byte.
+# one 3D search must not change a byte. The last four dump cells, past the
+# benchmark's, were taken while columns and strata had rules of their own:
+# one set of slice rules by number of axes must not change a byte either.
 VERIFY_ALL_DIGEST = "317a5db272cd083b80b6a46be57e673bcd1f81e98bcd2809b49407d500968062"
 DUMP_DIGESTS = {
     ("plateau", 3, 9): "904dabb1730cd3fec4fd7616a50ff2ea8b0bed47623c1c83733e2aa750495d55",
@@ -423,6 +425,10 @@ DUMP_DIGESTS = {
     ("cc", 2, 4): "8a8fdade4aa27ecfefcabd30e0554529364ee8177df5ebff90356c9a48fea999",
     ("dplateau", 2, 5): "d7ec7011df8b8f470cd552c5ff777ad0882519dfd49a13daac857ee998f759ab",
     ("dcc", 2, 4): "fc0ed134e1600bf58c453e76e5e6ceb78ebc062fc989fa0d201bb73e4cd2e34a",
+    ("cc", 5, 13): "455b97e9b728a83f589a0aaaf0b38303c0d37da78e1948ab5590db4cb8d2e0b5",
+    ("dcc", 5, 14): "d221eb13bc79a2dac4c1fcd729900591eb3aaf3dd4a271bb1094db3bb5e3d480",
+    ("plateau", 4, 13): "4851d275d4d9adb0f263fdf44fddd4278b043d16b57668385ab8710f3fcdd0fb",
+    ("dplateau", 4, 14): "5b8bd7e85b7b8141074a0d4f5aaa5054b0d125df4d9cf58fa3ab5c280c1b1dc2",
 }
 
 

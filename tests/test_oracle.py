@@ -21,22 +21,20 @@ from polylat.counting import count_cc, count_dcc, r_gf, s_closed
 from polylat.oracle import (
     ColumnConvexPoly,
     PlateauPolycube,
-    _column_extents,
     _columns_tail,
     _count_slices,
     _directed,
-    _first_columns,
-    _first_strata,
-    _iter_columns,
+    _extents,
+    _first_slices,
     _iter_slices,
-    _iter_strata,
     _next_columns,
     _next_strata,
     _reach,
+    _sizes,
     _slice_reached,
     _slice_steps,
-    _strata_extents,
     _strata_tail,
+    _tuples,
     count_sizes,
     dump_objects,
     enum_cc,
@@ -176,9 +174,9 @@ def test_iter_counts_match_enum():
     # arithmetic next-to-last slice follows a placed prefix of two slices
     for k in range(1, 5):
         for n in range(1, 13):
-            assert sum(1 for _ in _iter_columns(k, n)) == enum_cc(k, n)
+            assert sum(1 for _ in _tuples("cc", k, n)) == enum_cc(k, n)
         for m in range(2, 13):
-            assert sum(1 for _ in _iter_strata(k, m)) == enum_plateau(k, m)
+            assert sum(1 for _ in _tuples("plateau", k, m)) == enum_plateau(k, m)
     for k in range(1, 5):
         for n in range(1, 11):
             assert sum(1 for _ in iter_cc(k, n)) == enum_cc(k, n)
@@ -189,16 +187,20 @@ def test_iter_counts_match_enum():
             assert sum(1 for _ in iter_dplateau(k, m)) == enum_dplateau(k, m)
 
 
+# a -> the family whose slices have a axes, and the successors and the
+# closed-form tail of its count
+UNDIRECTED = {1: ("cc", _next_columns, _columns_tail), 2: ("plateau", _next_strata, _strata_tail)}
+
+
 def test_counting_parts_match_literal_parts():
     # every first-column / first-stratum part on its own, and their sum; at
     # k = 5 two slices are placed by successors below the first one
-    for first_slices, successors, tail, unit in ((_first_columns, _next_columns, _columns_tail, 1),
-                                                 (_first_strata, _next_strata, _strata_tail, 2)):
+    for a, (_, successors, tail) in UNDIRECTED.items():
         for k in range(1, 6):
-            for size in range(unit * k, 14):
-                firsts = list(first_slices(k, size))
+            for size in range(a * k, 14):
+                firsts = list(_first_slices(a, k, size))
                 parts = [_count_slices([first], successors, tail, k, size) for first in firsts]
-                literal = Counter(t[0] for t in _iter_slices(first_slices, successors, k, size))
+                literal = Counter(t[0] for t in _iter_slices(firsts, successors, k, size))
                 assert parts == [literal[first] for first in firsts]
                 assert sum(parts) == _count_slices(firsts, successors, tail, k, size) == sum(literal.values())
 
@@ -207,14 +209,12 @@ def test_counting_parts_match_literal_parts():
 @given(data=st.data(), k=st.integers(1, 5), size=st.integers(2, 12))
 def test_counting_part_matches_literal_part_at_random_first_slice(data, k, size):
     # one first slice, then the placed and the arithmetic levels below it
-    if size >= k:
-        first = data.draw(st.sampled_from(list(_first_columns(k, size))))
-        assert _count_slices([first], _next_columns, _columns_tail, k, size) == \
-            Counter(t[0] for t in _iter_columns(k, size))[first]
-    if size >= 2 * k:
-        first = data.draw(st.sampled_from(list(_first_strata(k, size))))
-        assert _count_slices([first], _next_strata, _strata_tail, k, size) == \
-            Counter(t[0] for t in _iter_strata(k, size))[first]
+    for a, (_, successors, tail) in UNDIRECTED.items():
+        if size >= a * k:
+            firsts = list(_first_slices(a, k, size))
+            first = data.draw(st.sampled_from(firsts))
+            assert _count_slices([first], successors, tail, k, size) == \
+                Counter(t[0] for t in _iter_slices(firsts, successors, k, size))[first]
 
 
 # The tails' sums written out, term by term over the extents of the last one
@@ -264,14 +264,11 @@ def test_counting_dfs_passes_tails_their_domain():
             return tail(prev, slices_left, size_left)
         return rule
 
-    for k in range(1, 6):
-        for size in range(14):
-            if size >= k:
-                assert _count_slices(_first_columns(k, size), _next_columns, checked(_columns_tail, 1), k, size) == \
-                    enum_cc(k, size)
-            if size >= 2 * k:
-                assert _count_slices(_first_strata(k, size), _next_strata, checked(_strata_tail, 2), k, size) == \
-                    enum_plateau(k, size)
+    for a, (family, successors, tail) in UNDIRECTED.items():
+        for k in range(1, 6):
+            for size in range(a * k, 14):
+                assert _count_slices(_first_slices(a, k, size), successors, checked(tail, a), k, size) == \
+                    ENUMS[family](k, size)
     # outside the domain the forms are not the (empty) sums
     assert _columns_tail((0, 2), 2, 0) != columns_two_sum(2, 0)
     assert _strata_tail((0, 2, 0, 2), 1, 0) != last_stratum_sum(2, 2, 0)
@@ -281,8 +278,8 @@ def test_counting_dfs_passes_tails_their_domain():
 def test_iterator_order_is_pinned():
     # the dump order: by height (strata: by h + d, then h), then by offset
     # (strata: y0, then z0), from the first slice on
-    assert list(_iter_columns(2, 3)) == [((0, 1), (-1, 2)), ((0, 1), (0, 2)), ((0, 2), (0, 1)), ((0, 2), (1, 1))]
-    assert list(_iter_strata(2, 5)) == [
+    assert list(_tuples("cc", 2, 3)) == [((0, 1), (-1, 2)), ((0, 1), (0, 2)), ((0, 2), (0, 1)), ((0, 2), (1, 1))]
+    assert list(_tuples("plateau", 2, 5)) == [
         ((0, 1, 0, 1), (0, 1, -1, 2)),
         ((0, 1, 0, 1), (0, 1, 0, 2)),
         ((0, 1, 0, 1), (-1, 2, 0, 1)),
@@ -292,6 +289,53 @@ def test_iterator_order_is_pinned():
         ((0, 2, 0, 1), (0, 1, 0, 1)),
         ((0, 2, 0, 1), (1, 1, 0, 1)),
     ]
+
+
+def axis_runs(k, total, size):
+    # the sequences of k intervals (offset, extent) on one axis: the first
+    # at 0, extents >= 1 summing to at most total, offsets in [-size, size],
+    # consecutive ones sharing a row
+    runs = [((0, e),) for e in range(1, total + 1)]
+    for _ in range(k - 1):
+        runs = [run + ((lo, e),) for run in runs for e in range(1, total - sum(x for _, x in run) + 1)
+                for lo in range(-size, size + 1) if shares_a_row(*run[-1], lo, e)]
+    return runs
+
+
+def brute_force_tuples(a, k, size):
+    # every normalized tuple of k slices with a axes and total size `size`,
+    # from the definitions alone: slices overlap on every axis exactly when
+    # each axis's intervals do, so the tuples are the a-fold products of
+    # single-axis runs whose extents sum to size
+    by_total = {}
+    for run in axis_runs(k, size - (a - 1) * k, size):
+        by_total.setdefault(sum(e for _, e in run), []).append(run)
+
+    def fill(axes, left):
+        if axes == 1:
+            return [(run,) for run in by_total.get(left, ())]
+        return [(run,) + rest for total, runs in by_total.items() for run in runs
+                for rest in fill(axes - 1, left - total)]
+
+    return [tuple(tuple(v for run in runs for v in run[i]) for i in range(k)) for runs in fill(a, size)]
+
+
+def test_walk_order_matches_a_sort_of_brute_force_tuples():
+    # the iterators and the dump read one walk: its order is checked here
+    # against a sort of tuples built with no oracle rule, slice by slice by
+    # (size, extents, offsets)
+    def key(t):
+        return [(sum(s[1::2]), s[1::2], s[::2]) for s in t]
+
+    total = 0
+    for a, k_max in ((1, 4), (2, 3)):
+        family = UNDIRECTED[a][0]
+        for k in range(1, k_max + 1):
+            for size in range(10):
+                walked = list(_tuples(family, k, size))
+                assert walked == sorted(brute_force_tuples(a, k, size), key=key), (family, k, size)
+                total += len(walked)
+    assert total == 6446
 
 
 def test_iter_objects_are_distinct_and_sized():
@@ -316,14 +360,26 @@ def test_import_loads_no_process_pool():
 
 def test_first_slices_are_generated_on_demand():
     # 49,975,003 first strata at (2, 10000): taking one must not build them all
-    with pytest.raises(ValueError):
-        _first_strata(0, 10_000)  # the width is checked before any is taken
-    with pytest.raises(ValueError):
-        _first_columns(0, 10_000)
+    for a in (1, 2):
+        with pytest.raises(ValueError):
+            _first_slices(a, 0, 10_000)  # the width is checked before any is taken
     tracemalloc.start()
     try:
-        assert next(_first_strata(2, 10_000)) == (0, 1, 0, 1)
-        assert next(_first_columns(2, 10_000)) == (0, 1)
+        for a in (1, 2):
+            assert next(_first_slices(a, 2, 10_000)) == (0, 1) * a
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_iterators_take_their_first_objects_lazily():
+    # the walks generate slices on demand: no list of extents or of
+    # successors per size is built, however large the size
+    tracemalloc.start()
+    try:
+        for objects in (iter_plateau(4, 4000), iter_cc(5, 4000)):
+            assert sum(1 for _ in zip(range(1000), objects)) == 1000
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -498,7 +554,7 @@ def test_directedness_2d_lift_matches_north_east_search():
     # the 3D search on columns lifted to depth-1 strata against a plain 2D one
     for k in range(1, 6):
         for n in range(k, 13):
-            for cols in _iter_columns(k, n):
+            for cols in _tuples("cc", k, n):
                 assert ColumnConvexPoly(cols).is_directed() == north_east_directed(cols), cols
 
 
@@ -702,18 +758,19 @@ def test_reach_counts_match_a_per_candidate_filter(data):
 
 
 def test_extents_rules_follow_the_successor_rules():
-    # the directed DFS places by the extents rules, the cc and plateau DFS
-    # by _next_columns/_next_strata: both give the same extents, each with
-    # its size, in the same order, wherever the DFS asks (every slice left
-    # has at least the least size, unit)
-    for successors, extents_rule, unit, prevs in ((_next_columns, _column_extents, 1, ((1, 3), (-2, 1))),
-                                                  (_next_strata, _strata_extents, 2, ((1, 3, 0, 1), (-2, 1, 4, 2)))):
+    # the directed DFS places by the size and extents rules, the cc and
+    # plateau DFS by _next_columns/_next_strata: both give the same extents,
+    # each with its size, in the same order, wherever the DFS asks (every
+    # slice left has at least the least size, a)
+    for a, prevs in ((1, ((1, 3), (-2, 1))), (2, ((1, 3, 0, 1), (-2, 1, 4, 2)))):
+        successors = UNDIRECTED[a][1]
         for prev in prevs:
             for slices_left in range(1, 6):
-                for size_left in range(unit * slices_left, 20):
+                for size_left in range(a * slices_left, 20):
                     runs = [key for key, _ in groupby((nxt[1::2], used) for nxt, used in
                                                       successors(prev, slices_left, size_left))]
-                    assert runs == list(extents_rule(slices_left, size_left)), (prev, slices_left, size_left)
+                    assert runs == [(e, s) for s in _sizes(a, slices_left, size_left) for e in _extents(a, s)], \
+                        (prev, slices_left, size_left)
 
 
 def shifted(s, offsets):
@@ -726,24 +783,24 @@ def shifted(s, offsets):
 def test_reached_successors_move_with_their_slice(data, slices_left, size_left):
     # the fact the memoized tail rests on: shifting prev shifts its reached
     # successors the same way, and yields no other
-    for extents_rule, axes in ((_column_extents, 1), (_strata_extents, 2)):
+    for a in (1, 2):
         extent, offset = st.integers(1, 6), st.integers(-8, 8)
-        prev = tuple(data.draw(st.tuples(*(strategy for _ in range(axes) for strategy in (offset, extent)))))
-        shift = data.draw(st.tuples(*(offset for _ in range(axes))))
-        here = list(_directed(extents_rule)[0](prev, slices_left, size_left))
-        moved = list(_directed(extents_rule)[0](shifted(prev, shift), slices_left, size_left))
+        prev = tuple(data.draw(st.tuples(*(strategy for _ in range(a) for strategy in (offset, extent)))))
+        shift = data.draw(st.tuples(*(offset for _ in range(a))))
+        here = list(_directed(a)[0](prev, slices_left, size_left))
+        moved = list(_directed(a)[0](shifted(prev, shift), slices_left, size_left))
         assert moved == [(shifted(nxt, shift), used) for nxt, used in here], (prev, shift)
 
 
 def test_memoized_tail_matches_plain_staged_search():
     # the last two slices counted from per-pair reach counts against every
     # slice placed and searched on its own
-    for first, successors, extents_rule, k_max, size_max in ((_first_columns, _next_columns, _column_extents, 6, 16),
-                                                             (_first_strata, _next_strata, _strata_extents, 5, 14)):
+    for a, k_max, size_max in ((1, 6, 16), (2, 5, 14)):
+        successors = UNDIRECTED[a][1]
         for k in range(1, k_max + 1):
             for size in range(size_max + 1):
-                plain = sum(1 for _ in _iter_slices(first, plainly_reached(successors), k, size))
-                assert _count_slices(first(k, size), *_directed(extents_rule), k, size) == plain, (successors, k, size)
+                plain = sum(1 for _ in _iter_slices(_first_slices(a, k, size), plainly_reached(successors), k, size))
+                assert _count_slices(_first_slices(a, k, size), *_directed(a), k, size) == plain, (a, k, size)
 
 
 def test_step_maps_are_bounded_by_the_extents():
@@ -760,10 +817,10 @@ def test_step_maps_are_bounded_by_the_extents():
 def test_first_slices_are_reached_from_their_root():
     # the reach rule searches no first slice: North (and Ahead) steps from
     # its minimal cell cover it
-    for first_slices in (_first_columns, _first_strata):
+    for a in (1, 2):
         for k in range(1, 5):
             for size in range(15):
-                for first in first_slices(k, size):
+                for first in _first_slices(a, k, size):
                     assert _slice_reached(_slice_steps(first), [first[::2]]), first
 
 
