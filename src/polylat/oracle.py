@@ -34,29 +34,29 @@ set built. A column-convex polyomino is searched as the depth-1 plateau
 polycube with strata (b, h, 0, 1): its cells at z = 0 are the
 polyomino's, and no Ahead step lands in it, so the search takes the 2D
 North/East steps. is_directed(), and so iter_dcc and iter_dplateau, run
-that search. One reach rule (_reach) runs it one slice at a time and
-feeds both DFS walks, the directed counts and the directed dumps: no step
-decreases x, so each later slice is searched from the East step of the
-previous slice's cells, and a prefix is dropped once one of its slices is
-not fully reached. A first slice, a box, is not searched: North and Ahead
-steps from the root cover it. Steps do not depend on where a slice sits,
-so one step map is built per slice extents, at the origin, once per call,
-and a width-1 cell builds none. A verdict depends only on those extents
-and the seed box, so beside each map one verdict byte per seed box
-records whether the box was searched and with what result: each
-(extents, seed box) is searched once per call. A successor's seed box on
-each axis depends only on the two slices' extents and its offset, so the
-rule answers per pair of extents (_directed(a) reads the size and extents
-rules, the extents of each size kept for the call): the reached offsets,
-kept for the call, and their count. The DFS places every slice above the
-last two at each reached offset. Below a fully reached slice the ways to end
-depend only on its extents and the size left, so the directed counts
-also end with a tail rule for the last two slices, sums of per-pair
-reach counts kept per shape for the call. It too stops at two slices.
+that search. A directed family is a sub-family of its undirected one, so
+its walks, the counts and the dumps, keep the candidates of the same
+offset loop that one reach rule (_reach) admits. The rule runs the search
+one slice at a time: no step decreases x, so each later slice is searched
+from the East step of the previous slice's cells, and a prefix is dropped
+once one of its slices is not fully reached. A first slice, a box, is not
+searched: North and Ahead steps from the root cover it. Steps do not
+depend on where a slice sits, and a verdict depends only on the slice's
+extents and its seed box, so one step map at the origin and one verdict
+byte per seed box are kept per extents for the call (none at width 1):
+each (extents, seed box) is searched once per call. A seed box depends
+only on the two slices' extents and the offset, so the rule answers per
+pair of extents with the verdict bytes of the loop's candidates, in its
+order. _directed(a, loop) chains them in the order of the size and
+extents rules, which is the loop's, and keeps each candidate whose byte
+is 2 (reached). Below a fully reached slice the ways to end depend only
+on its extents and the size left, so the directed counts also end with a
+tail for the last two slices, sums of reached bytes kept per shape for
+the call. So a number of axes needs one offset loop for both families.
 
 All of a family's rules sit in one entry of _RULES: its number of axes a,
 which picks its first slices, and a builder of the (successors, tail)
-pair its walks take (_directed(a) for dcc and dplateau). The builder
+pair its walks take (_directed(a, loop) for dcc and dplateau). The builder
 makes a fresh pair per call, so the memos of _reach, _directed and
 _per_shape live for that call only. The single counts (_count), the
 per-width counts (count_sizes, one walk at the largest of many sizes) and
@@ -71,9 +71,9 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import compress, product
+from itertools import chain, compress, product
 from math import prod
-from operator import add, not_
+from operator import not_
 from typing import Iterable, Iterator
 
 Column = tuple[int, int]
@@ -215,8 +215,9 @@ def _first_slices(a: int, k: int, size: int) -> Iterator[tuple]:
     return (_at_origin(e) for s in _sizes(a, k, size) for e in _extents(a, s))
 
 
-# The successors of the cc and plateau walks: the extents of each size of
-# _sizes in _extents order, each at every overlap-feasible offset. They are
+# The successors of the cc and plateau walks, and the candidates that the
+# dcc and dplateau walks filter: the extents of each size of _sizes in
+# _extents order, each at every overlap-feasible offset. They are
 # written per number of axes: one offset loop for any a, a product of
 # per-axis offset ranges, made enum_cc(5, 16) 4.1x and enum_plateau(4, 15)
 # 2.8x slower, and reading _extents(2, s) instead of the loop over h made
@@ -361,24 +362,23 @@ def _slice_reached(steps: dict, seeds) -> bool:
 
 def _reach():
     """The reach rule of the directed families' search, staged slice by
-    slice: a pair (reached, count) of functions of the extents pe of a slice
-    and e of its successor, each kept for the call per pair. reached(pe, e)
-    lists the successors of extents e fully reached from the East step of
-    the slice's cells, in _next_columns/_next_strata order, each as its
-    difference from the slice, entry by entry; count(pe, e) is their number.
-    No East, North or Ahead step decreases x, so the cells of a slice can be
-    reached only from the slices to its left. Steps do not depend on where a
-    slice sits, so one map per extents is built, at the origin, once per
-    call. A successor at offset r from the slice on an axis, 1 - e <= r <
-    pe, is searched from the box where the two overlap, [max(-r, 0),
-    min(pe - r, e)) on each axis from its origin. The verdict depends on
-    nothing else, so beside each map a bytearray keeps one verdict byte per
-    seed box: a seed box is never empty, so 0 <= lo < hi <= e, and the axis
-    index tri[hi] + lo takes e * (e + 1) // 2 slots (tri holds the
-    triangular numbers); an axis's index depends on (pe, e) and r only. A
-    byte is 0 not searched yet, 1 not reached, 2 reached. Each (extents,
-    seed box) is searched once per call, and every later offset reads its
-    byte."""
+    slice: a function verdicts(pe, e) of the extents pe of a slice and e of
+    its successor, kept for the call per pair. It gives one verdict byte per
+    successor of extents e, in _next_columns/_next_strata order: 2 when the
+    successor is fully reached from the East step of the slice's cells, 1
+    when not. No East, North or Ahead step decreases x, so the cells of a
+    slice can be reached only from the slices to its left. Steps do not
+    depend on where a slice sits, so one map per extents is built, at the
+    origin, once per call. A successor at offset r from the slice on an
+    axis, 1 - e <= r < pe, is searched from the box where the two overlap,
+    [max(-r, 0), min(pe - r, e)) on each axis from its origin. The verdict
+    depends on nothing else, so beside each map a bytearray keeps one
+    verdict byte per seed box: a seed box is never empty, so 0 <= lo < hi <=
+    e, and the axis index tri[hi] + lo takes e * (e + 1) // 2 slots (tri
+    holds the triangular numbers); an axis's index depends on (pe, e) and r
+    only. A byte is 0 not searched yet, 1 not reached, 2 reached. Each
+    (extents, seed box) is searched once per call, and every later offset
+    reads its byte."""
     # the maps stay: stepping by extent arithmetic instead made the counts 1.2-2.1x slower
     known: dict[tuple, tuple[dict, bytearray]] = {}  # extents -> (step map at the origin, verdicts)
     tri = [0]  # n -> n * (n - 1) // 2: the boxes [lo, hi) with hi < n
@@ -388,8 +388,8 @@ def _reach():
         # the index of the seed box at each offset r on one axis
         return [tri[pe - r if pe - r < e else e] + (-r if r < 0 else 0) for r in range(1 - e, pe)]
 
+    @cache
     def verdicts(pe: tuple, e: tuple) -> bytes:
-        # the verdict byte at each offset, in placement order
         known_here = known.get(e)
         if known_here is None:
             tri.extend(n * (n - 1) // 2 for n in range(len(tri), max(e) + 2))
@@ -411,56 +411,51 @@ def _reach():
             found = bytes(map(table.__getitem__, at))
         return found
 
-    def reached(pe: tuple, e: tuple) -> list[tuple]:
-        moves = [()]
-        for p, x in zip(pe, e):
-            moves = [move + (r, x - p) for move in moves for r in range(1 - x, p)]
-        return list(compress(moves, map((2).__eq__, verdicts(pe, e))))
-
-    return cache(reached), cache(lambda pe, e: verdicts(pe, e).count(2))
+    return verdicts
 
 
-def _directed(a: int):
+def _directed(a: int, loop):
     """The (successors, tail) pair of the count of a directed family whose
-    slices have a axes, from a fresh _reach. successors places the slices
-    that reached lists, one extents after the other, in the order of
-    _sizes and _extents; the extents of each size are kept for the call. The
-    tail places nothing: whether a successor is reached depends on its
-    offset from its slice, not on where that slice sits, so the ways to end
-    below a fully reached slice depend only on its extents and the size
-    left. One slice takes the sum of count over the extents of the size
-    left, two take the sum of count times that one-slice tail; both are kept
-    for the call per (extents, slices left, size left). Like _columns_tail
-    and _strata_tail the tail stops at two slices."""
-    reached, count = _reach()
+    slices have a axes, from a fresh _reach. successors keeps the candidates
+    of loop (_next_columns or _next_strata) whose verdict byte is 2: loop
+    goes by the extents of each size in _sizes/_extents order, so their
+    verdicts, chained in that order, flag its candidates. The tail places
+    nothing: whether a successor is reached depends on its offset from its
+    slice, not on where that slice sits, so the ways to end below a fully
+    reached slice depend only on its extents and the size left. One slice
+    takes the 2s among the verdicts of the extents of the size left, two
+    take each such count times that one-slice tail; both, and the extents
+    of each size, are kept for the call per (extents, slices left, size
+    left). Like _columns_tail and _strata_tail the tail stops at two slices."""
+    verdicts = _reach()
     extents = cache(lambda s: list(_extents(a, s)))
 
     def successors(prev: tuple, slices_left: int, size_left: int) -> Iterator[tuple[tuple, int]]:
         pe = prev[1::2]
-        for s in _sizes(a, slices_left, size_left):
-            for e in extents(s):
-                for move in reached(pe, e):
-                    yield tuple(map(add, prev, move)), s
+        flags = chain.from_iterable(verdicts(pe, e) for s in _sizes(a, slices_left, size_left) for e in extents(s))
+        return compress(loop(prev, slices_left, size_left), map((2).__eq__, flags))
 
     @cache
     def ends(pe: tuple, slices_left: int, size_left: int) -> int:
         if slices_left == 1:
-            return sum(count(pe, e) for e in extents(size_left))
-        return sum(count(pe, e) * ends(e, 1, size_left - s) for s in _sizes(a, 2, size_left) for e in extents(s))
+            return sum(verdicts(pe, e).count(2) for e in extents(size_left))
+        return sum(verdicts(pe, e).count(2) * ends(e, 1, size_left - s)
+                   for s in _sizes(a, 2, size_left) for e in extents(s))
 
     return successors, lambda prev, slices_left, size_left: ends(prev[1::2], slices_left, size_left)
 
 
 # family -> (the number of axes a of its slices, 1 for columns and 2 for
-# strata, and a builder of the (successors, tail) pair its count walks). A
+# strata, and a builder of the (successors, tail) pair its count walks,
+# for a directed family filtering the undirected one's offset loop). A
 # builder returns a fresh pair on each call, so the memos in it last one
 # call. The plateau tail is kept per shape: the stratum above the last two
 # sits at many offsets with the same extents.
 _RULES = {
     "cc": (1, lambda: (_next_columns, _columns_tail)),
-    "dcc": (1, partial(_directed, 1)),
+    "dcc": (1, partial(_directed, 1, _next_columns)),
     "plateau": (2, lambda: (_next_strata, _per_shape(_strata_tail))),
-    "dplateau": (2, partial(_directed, 2)),
+    "dplateau": (2, partial(_directed, 2, _next_strata)),
 }
 
 
@@ -511,6 +506,8 @@ def count_sizes(family: str, k: int, sizes: Iterable[int]) -> dict[int, int]:
     smaller one, and a record ends objects of a size exactly when the size
     left covers its slices. Width 1 has no tail: its first slices are
     counted at each size."""
+    if family not in _RULES:
+        raise ValueError(f"unknown family {family!r}")
     a, rules = _RULES[family]
     if k == 1:
         return {size: sum(1 for _ in _first_slices(a, 1, size)) for size in sizes}
@@ -665,8 +662,9 @@ def dump_objects(family: str, k: int, size: int, stream) -> int:
     one per line in the dump format above, in the order of iter_<family>;
     returns the object count. Lines are written from the tuples of the DFS
     over the successors of the family's _RULES entry (for dcc and dplateau,
-    the slices _reach reaches; tests hold them to the whole-object search
-    of iter_d*), without building an object per line."""
+    the candidates of the cc and plateau loops that _reach admits; tests
+    hold them to the whole-object search of iter_d*), without building an
+    object per line."""
     if family not in _RULES:
         raise ValueError(f"unknown family {family!r}")
     text = cache(_slice_text)  # the slices repeat across lines

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylat import cli
+from polylat import cli, enum_plateau, fit_family, gf_coeffs, gf_S, r_gf, s_closed
 from polylat.cli import MAX_SIZE, MAX_TABLE_CELLS, MAX_WIDTH, MAX_WORKERS, build_parser, main
 from polylat.counting import FAMILIES, ROUTES, SIZE_UNIT
 from polylat.reference_tables import CC_TABLE
@@ -605,3 +606,44 @@ def test_any_argv_exits_0_1_or_2_with_the_same_bytes_twice(argv):
     assert "Traceback" not in err
     if code == 2:
         assert "error:" in err and out == ""
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_examples_print_what_the_readme_states(capsys):
+    # each quick-tour call and command-line example states its value in a
+    # comment on its own README line; each must print that value
+    with open(README, encoding="utf-8") as readme:
+        text = readme.read()
+    lines = text.splitlines()
+
+    def stated(example):
+        # the value in the comment of the README line that shows example
+        (line,) = [line for line in lines if line.startswith(example + " ")]
+        return line.split("# ", 1)[1]
+
+    for example, value, expected in (
+        ("s_closed(3, 8)", s_closed(3, 8), "55"),
+        ("r_gf(4, 11)", r_gf(4, 11), "2152"),
+        ("gf_coeffs(gf_S(), 5)", gf_coeffs(gf_S(), 5), "[0, 0, 1, 2, 4, 10]"),
+        ("enum_plateau(4, 11)", enum_plateau(4, 11), "2152"),
+        ('fit_family("plateau", 2, 3, 6)', fit_family("plateau", 2, 3, 6), "32k^2 - 70k + 48"),
+    ):
+        assert re.match(re.escape(expected) + r"(?!\w)", stated(example)), example
+        assert str(value) == expected, example
+
+    for example, value, read in (
+        ("polylat count --family plateau -k 3 -m 8 --method gf", "126", str.strip),
+        ("polylat count --family cc -k 2 -n 3 --method oracle", "4", str.strip),
+        ("polylat gf --which Rk -k 2 --terms 7 --json", "[0,0,0,0,1,8,34,104]", json.loads),
+        ("polylat asympt --family cc --offset 2", "8k^2 - 19k + 16", lambda out: out.splitlines()[0]),
+    ):
+        assert stated(example) == value, example
+        code, out, _ = run_cli(capsys, *example.split()[1:])
+        assert code == 0 and read(out) == read(value), example
+
+    example = "count --family dplateau -k 2 -n 6"
+    assert f"`{example}` prints 21" in " ".join(text.split()), example
+    code, out, _ = run_cli(capsys, *example.split())
+    assert code == 0 and out == "21\n"

@@ -6,10 +6,9 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from functools import lru_cache
-from itertools import groupby, product
+from functools import cache, lru_cache
+from itertools import compress, groupby, product
 from math import prod
-from operator import sub
 from pathlib import Path
 
 import pytest
@@ -729,14 +728,17 @@ def test_one_walk_counts_every_size_of_a_width(family):
 
 
 def plainly_reached(successors):
-    # the successors a plain per-candidate search fully reaches: each one's
-    # own step map, at its place, searched from the cells where it overlaps
-    # the slice before it
+    # the successors a plain per-candidate search fully reaches: each one
+    # searched from the cells where it overlaps the slice before it, on the
+    # step map of the slice at its own place, built once per placed slice
+    # for the walk
+    steps = cache(_slice_steps)
+
     def reached_only(prev, slices_left, size_left):
         for nxt, used in successors(prev, slices_left, size_left):
             box = product(*(range(max(lo, prev_lo), min(lo + ext, prev_lo + prev_ext))
                             for lo, ext, prev_lo, prev_ext in zip(nxt[::2], nxt[1::2], prev[::2], prev[1::2])))
-            if _slice_reached(_slice_steps(nxt), box):
+            if _slice_reached(steps(nxt), box):
                 yield nxt, used
     return reached_only
 
@@ -745,16 +747,23 @@ def plainly_reached(successors):
 @given(data=st.data())
 def test_reach_counts_match_a_per_candidate_filter(data):
     # every pair of extents one _reach answers, against the plain search of
-    # each candidate; the pairs share the verdict tables of one call
-    for successors, axes in ((_next_columns, 1), (_next_strata, 2)):
-        reached, count = _reach()
+    # each candidate; the pairs share the verdict tables of one call. The
+    # directed walks keep the loop's candidates by compress, which stops at
+    # the shorter stream, so the verdicts must be exactly as many as the
+    # candidates of extents e, and in their order
+    for loop, axes in ((_next_columns, 1), (_next_strata, 2)):
+        verdicts = _reach()
         extents = st.tuples(*(st.integers(1, 7) for _ in range(axes)))
         for _ in range(data.draw(st.integers(1, 6))):
             pe, e = data.draw(extents), data.draw(extents)
             prev = tuple(v for ext in pe for v in (data.draw(st.integers(-5, 5)), ext))
-            plain = [nxt for nxt, _ in plainly_reached(successors)(prev, 1, sum(e)) if nxt[1::2] == e]
-            assert count(pe, e) == len(plain), (pe, e)
-            assert reached(pe, e) == [tuple(map(sub, nxt, prev)) for nxt in plain], (pe, e)
+            candidates = [(nxt, used) for nxt, used in loop(prev, 1, sum(e)) if nxt[1::2] == e]
+            plain = [nxt for nxt, _ in plainly_reached(lambda *_: candidates)(prev, 1, sum(e))]
+            found = verdicts(pe, e)
+            assert len(found) == len(candidates) and set(found) <= {1, 2}, (pe, e)
+            kept = list(compress((nxt for nxt, _ in candidates), map((2).__eq__, found)))
+            assert kept == plain, (pe, e)
+            assert found.count(2) == len(kept), (pe, e)
 
 
 def test_extents_rules_follow_the_successor_rules():
@@ -787,8 +796,9 @@ def test_reached_successors_move_with_their_slice(data, slices_left, size_left):
         extent, offset = st.integers(1, 6), st.integers(-8, 8)
         prev = tuple(data.draw(st.tuples(*(strategy for _ in range(a) for strategy in (offset, extent)))))
         shift = data.draw(st.tuples(*(offset for _ in range(a))))
-        here = list(_directed(a)[0](prev, slices_left, size_left))
-        moved = list(_directed(a)[0](shifted(prev, shift), slices_left, size_left))
+        loop = UNDIRECTED[a][1]
+        here = list(_directed(a, loop)[0](prev, slices_left, size_left))
+        moved = list(_directed(a, loop)[0](shifted(prev, shift), slices_left, size_left))
         assert moved == [(shifted(nxt, shift), used) for nxt, used in here], (prev, shift)
 
 
@@ -800,7 +810,8 @@ def test_memoized_tail_matches_plain_staged_search():
         for k in range(1, k_max + 1):
             for size in range(size_max + 1):
                 plain = sum(1 for _ in _iter_slices(_first_slices(a, k, size), plainly_reached(successors), k, size))
-                assert _count_slices(_first_slices(a, k, size), *_directed(a), k, size) == plain, (a, k, size)
+                assert _count_slices(_first_slices(a, k, size), *_directed(a, successors), k, size) == plain, \
+                    (a, k, size)
 
 
 def test_step_maps_are_bounded_by_the_extents():
@@ -889,10 +900,10 @@ def test_dump_lines_are_the_iterators_objects_in_order():
     # the slice-staged search; the iterators build every object and search
     # it whole
     for family, iterate, formatter, k_max, low, high in (
-        ("cc", iter_cc, format_cc, 4, lambda k: k - 1, 10),
-        ("dcc", iter_dcc, format_cc, 4, lambda k: k - 1, 10),
-        ("plateau", iter_plateau, format_plateau, 3, lambda k: 2 * k - 1, 10),
-        ("dplateau", iter_dplateau, format_plateau, 3, lambda k: 2 * k - 1, 10),
+        ("cc", iter_cc, format_cc, 5, lambda k: k - 1, 10),
+        ("dcc", iter_dcc, format_cc, 5, lambda k: k - 1, 10),
+        ("plateau", iter_plateau, format_plateau, 4, lambda k: 2 * k - 1, 10),
+        ("dplateau", iter_dplateau, format_plateau, 4, lambda k: 2 * k - 1, 10),
     ):
         for k in range(1, k_max + 1):
             for size in range(low(k), high + 1):
@@ -937,5 +948,12 @@ def test_parse_rejects_malformed_lines(parse, line):
 
 
 def test_dump_rejects_unknown_family():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown family 'polyhex'"):
         dump_objects("polyhex", 2, 4, io.StringIO())
+
+
+def test_count_sizes_rejects_unknown_family():
+    # the same check and message as the dump, at every width
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="^unknown family 'xx'$"):
+            count_sizes("xx", k, [4])
