@@ -76,7 +76,7 @@ from typing import Callable
 
 from .combinatorics import binomial
 from .gfseries import Poly, RationalGF, gf_C, gf_R, gf_S_k, gf_coeff, gf_coeffs, gf_dcc_width, one_minus_t_pow, poly_mul
-from .oracle import enum_cc, enum_dcc, enum_dplateau, enum_plateau
+from .oracle import _RULES, enum_cc, enum_dcc, enum_dplateau, enum_plateau
 
 
 def _check_width(k: int) -> None:
@@ -276,8 +276,10 @@ def _dplateau_gf(k: int, m: int) -> int:
 
 
 # The least size of one slice, so a width-k object has size >= SIZE_UNIT * k:
-# a column has area >= 1, a stratum lateral area (height + depth) >= 2.
-SIZE_UNIT = {"dcc": 1, "cc": 1, "dplateau": 2, "plateau": 2}
+# a slice's size is the sum of its extents, one >= 1 per axis, so it is the
+# number of axes of the oracle's slice rules: a column has area >= 1, a
+# stratum lateral area (height + depth) >= 2.
+SIZE_UNIT = {family: a for family, (a, _) in _RULES.items()}
 
 # Each family's width recurrence, the (mult_j, e_j) for j = 0, 1, ... with
 # e_j never decreasing, and its numerators num_w (see the module docstring).

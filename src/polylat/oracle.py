@@ -7,7 +7,9 @@ stratum's y0 and z0) is 0. Consecutive columns must share an edge
 (overlapping intervals); consecutive strata must overlap in y and in z.
 That constructive representation is unique per object, so enumeration is
 plain depth-first generation over heights/depths and offsets, pruned on
-the remaining size budget, with no canonical-form hashing.
+the remaining size budget, with no canonical-form hashing. Both classes
+are frozen, slotted dataclasses: an object holds its tuple and no
+__dict__, since the bijection suite builds thousands of them.
 
 A column is a box with a = 1 axis, a stratum one with a = 2, and one set
 of rules takes a: _sizes leaves each later slice one unit per axis and
@@ -80,7 +82,7 @@ Column = tuple[int, int]
 Stratum = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColumnConvexPoly:
     """Column-convex polyomino as (bottom, height) per column."""
 
@@ -118,7 +120,7 @@ class ColumnConvexPoly:
         return _is_directed(tuple((b, h, 0, 1) for b, h in self.columns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlateauPolycube:
     """Plateau polycube as (y0, h, z0, d) per stratum."""
 
@@ -446,8 +448,9 @@ def _directed(a: int, loop):
 
 
 # family -> (the number of axes a of its slices, 1 for columns and 2 for
-# strata, and a builder of the (successors, tail) pair its count walks,
-# for a directed family filtering the undirected one's offset loop). A
+# strata, which counting.SIZE_UNIT reads as the least size of a slice, and
+# a builder of the (successors, tail) pair its count walks, for a directed
+# family filtering the undirected one's offset loop). A
 # builder returns a fresh pair on each call, so the memos in it last one
 # call. The plateau tail is kept per shape: the stratum above the last two
 # sits at many offsets with the same extents.

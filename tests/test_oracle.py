@@ -1,5 +1,6 @@
 """Geometric brute force: object validity, agreement with the formula
 routes, projections, directedness, and the dump format."""
+import dataclasses
 import io
 import os
 import subprocess
@@ -123,6 +124,25 @@ def test_object_measures():
     assert q.width == 2
     assert q.lateral_area == (2 + 1) + (1 + 3)
     assert len(q.cells()) == 2 + 3
+
+
+def test_objects_are_frozen_slotted_values():
+    # no per-instance __dict__; equality, hash and repr are by the slices
+    for build, slices, other in ((ColumnConvexPoly, ((0, 2), (-1, 3)), ((0, 1),)),
+                                 (PlateauPolycube, ((0, 2, 0, 1), (0, 1, 0, 3)), ((0, 1, 0, 1),))):
+        p = build(slices)
+        assert not hasattr(p, "__dict__")
+        name = "columns" if build is ColumnConvexPoly else "plateaus"
+        assert build.__slots__ == (name,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, other)
+        with pytest.raises((AttributeError, TypeError)):
+            p.extra = 1
+        assert getattr(p, name) == slices
+        assert p == build(slices) and p != build(other)
+        assert hash(p) == hash(build(slices)) == hash((slices,))
+        assert len({p, build(slices), build(other)}) == 2
+        assert repr(p) == f"{build.__name__}({name}={slices!r})"
 
 
 def test_enum_cc():

@@ -1,6 +1,8 @@
 """Verification suites: statuses, the documented discrepancy set, and the
 report schema."""
 import json
+import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -108,10 +110,25 @@ OTHER = oracle.PlateauPolycube(((0, 1, 0, 2), (0, 2, 0, 2)))
     # the whole-object search answers wrong on the target alone
     (oracle.PlateauPolycube, "is_directed", lambda right: lambda p: right(p) != (p == TARGET),
      "directedness-transfer-k2-m7"),
+    # the enumeration yields the target twice: every pair is still met once
+    (oracle, "iter_plateau", lambda right: lambda k, m: chain(right(k, m), [TARGET] * ((k, m) == (2, 7))),
+     "bijection-k2-m7"),
 ])
 def test_bijection_suite_catches_a_fault_on_one_object(monkeypatch, owner, name, fault, record):
     monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     assert [c.id for c in verify.suite_bijection().checks if c.status != PASS] == [record]
+
+
+def test_bijection_suite_keeps_no_projection_per_polycube():
+    # the projections are looked up among the pairs, not kept beside them
+    tracemalloc.start()
+    try:
+        report = verify.suite_bijection()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.failed
+    assert peak < 1_500_000
 
 
 def test_asymptotics_suite_all_pass():
